@@ -216,48 +216,32 @@ class DecisionDatasetGenerator:
         num_entries: int,
         seed: RNGLike = None,
         inputs: Optional[np.ndarray] = None,
-        method: str = "batched",
-        chunk_inputs: Optional[int] = None,
     ) -> DecisionDataset:
         """Generate a decision dataset of ``num_entries`` distilled decisions.
 
         ``inputs`` can be supplied directly (e.g. a grid for ablations); by
         default they are drawn from the augmented historical distribution.
 
-        ``method`` selects the execution path: ``"batched"`` (default) runs
-        all Monte-Carlo RS problems through the vectorised planner,
-        ``"serial"`` keeps the original one-input-at-a-time reference loop.
-        Both paths consume the generator identically and produce identical
-        labels for identical seeds.  ``chunk_inputs`` bounds how many inputs
-        the batched path flattens at once; the default keeps roughly 2k
-        candidate sequences in flight, which fits the flattened model batches
-        in cache (much larger chunks are memory-bandwidth-bound and slower).
+        All Monte-Carlo RS problems run through the vectorised planner
+        (:meth:`distill_decisions`), in chunks that keep roughly 2k candidate
+        sequences in flight: that fits the flattened model batches in cache
+        (much larger chunks are memory-bandwidth-bound and slower).  Labels
+        are identical seed-for-seed to a :meth:`distill_decision` loop over
+        the same inputs with the same generator.
         """
         if num_entries <= 0:
             raise ValueError("num_entries must be positive")
-        if method not in ("batched", "serial"):
-            raise ValueError(f"Unknown method {method!r}; use 'batched' or 'serial'")
         rng = ensure_rng(seed)
         if inputs is None:
             inputs = self.sampler.sample(num_entries, rng)
         else:
             inputs = np.atleast_2d(np.asarray(inputs, dtype=float))[:num_entries]
 
-        use_batched = method == "batched" and hasattr(self.optimizer, "plan_batch")
         labels = np.empty(len(inputs), dtype=int)
+        chunk = max(1, 2048 // (self.monte_carlo_runs * self.optimizer.num_samples))
         start = time.perf_counter()
-        if use_batched:
-            if chunk_inputs is None:
-                rows_per_input = self.monte_carlo_runs * getattr(
-                    self.optimizer, "num_samples", 1000
-                )
-                chunk_inputs = max(1, 2048 // max(rows_per_input, 1))
-            for lo in range(0, len(inputs), chunk_inputs):
-                hi = min(lo + chunk_inputs, len(inputs))
-                labels[lo:hi] = self.distill_decisions(inputs[lo:hi], rng=rng)
-        else:
-            for i, row in enumerate(inputs):
-                labels[i] = self.distill_decision(row, rng=rng)
+        for lo in range(0, len(inputs), chunk):
+            labels[lo : lo + chunk] = self.distill_decisions(inputs[lo : lo + chunk], rng=rng)
         elapsed = time.perf_counter() - start
 
         return DecisionDataset(

@@ -21,7 +21,6 @@ from repro.env.disturbances import (
 from repro.env.reward import RewardBreakdown, compute_reward, setpoint_energy_proxy
 from repro.env.hvac_env import HVACEnvironment, EnvironmentStep, make_environment
 from repro.env.dataset import Transition, TransitionDataset, collect_historical_data
-from repro.env.wrappers import NormalizedObservationWrapper, EpisodeRecorder
 from repro.env.vector_env import BatchedEnvironmentStep, BatchedHVACEnvironment
 
 __all__ = [
@@ -42,8 +41,6 @@ __all__ = [
     "Transition",
     "TransitionDataset",
     "collect_historical_data",
-    "NormalizedObservationWrapper",
-    "EpisodeRecorder",
     "BatchedEnvironmentStep",
     "BatchedHVACEnvironment",
 ]

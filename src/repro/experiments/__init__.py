@@ -7,7 +7,9 @@ Three layers turn the library into a runnable system:
 * :mod:`repro.experiments.runner` — the registry-driven
   :class:`ExperimentRunner` rolling any registered agent over multi-episode
   batches with per-episode seeds,
-* :mod:`repro.experiments.cli` — the ``python -m repro`` command line.
+* :mod:`repro.experiments.cli` — the ``python -m repro`` command line, with
+  the setup it shares with the ``repro bench`` targets in
+  :mod:`repro.experiments.drivers`.
 """
 
 from repro.experiments.scenarios import (

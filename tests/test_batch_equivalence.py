@@ -200,18 +200,14 @@ def test_plan_populates_best_setpoints(distillation_setup):
 # -------------------------------------------------------------- distillation
 def test_batched_generate_identical_labels(distillation_setup):
     _optimizer, _sampler, generator = distillation_setup
-    serial = generator.generate(12, seed=42, method="serial")
-    batched = generator.generate(12, seed=42, method="batched")
-    chunked = generator.generate(12, seed=42, method="batched", chunk_inputs=5)
-    assert np.array_equal(serial.inputs, batched.inputs)
-    assert np.array_equal(serial.action_labels, batched.action_labels)
-    assert np.array_equal(serial.action_labels, chunked.action_labels)
-
-
-def test_generate_rejects_unknown_method(distillation_setup):
-    _optimizer, _sampler, generator = distillation_setup
-    with pytest.raises(ValueError, match="Unknown method"):
-        generator.generate(4, seed=0, method="warp")
+    # 2048 // (3 MC runs x 50 samples) = 13 inputs per chunk, so 20 entries
+    # cross a chunk boundary.
+    batched = generator.generate(20, seed=42)
+    rng = np.random.default_rng(42)
+    inputs = generator.sampler.sample(20, rng)
+    serial = [generator.distill_decision(row, rng=rng) for row in inputs]
+    assert np.array_equal(batched.inputs, inputs)
+    assert np.array_equal(batched.action_labels, serial)
 
 
 # ------------------------------------------------------------------- runner
