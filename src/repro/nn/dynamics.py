@@ -57,11 +57,13 @@ class ThermalDynamicsModel:
     parameterisation that improves accuracy for slow thermal dynamics) and adds
     it back to the current state at prediction time.
 
-    Inference dtype policy: training always runs in float64, but prediction
-    can be switched to a compiled float32 forward pass with
-    :meth:`set_inference_dtype` — the opt-in fast path for the BLAS-bound
-    planning/distillation workloads (``PipelineConfig.dtype``).  ``float64``
-    (the default) keeps prediction bit-exact with the training network.
+    Prediction always runs through a compiled, buffered forward pass
+    (:class:`~repro.nn.inference.CompiledInferenceNetwork`) rebuilt after
+    every :meth:`fit`; training always runs in float64.  Under ``float64``
+    (the default) the compiled pass is bit-identical to normalising, running
+    the training network and de-normalising; :meth:`set_inference_dtype`
+    switches it to float32, the opt-in fast path for the planning and
+    distillation workloads (``PipelineConfig.dtype``).
     """
 
     def __init__(
@@ -99,9 +101,9 @@ class ThermalDynamicsModel:
         return self
 
     def _inference_network(self) -> CompiledInferenceNetwork:
-        if self._compiled_net is None or self._compiled_net.dtype != self._inference_dtype:
-            # Both normalisation passes fold into the weights, so the fast
-            # path is raw (s, d, a) rows straight through the matmuls.
+        if self._compiled_net is None:
+            # The compiled net consumes raw (s, d, a) rows and emits
+            # de-normalised targets (folded into the weights at float32).
             self._compiled_net = CompiledInferenceNetwork(
                 self.network,
                 dtype=self._inference_dtype,
@@ -151,24 +153,16 @@ class ThermalDynamicsModel:
     ) -> np.ndarray:
         """Predict next zone temperatures for a batch of (s, d, a) inputs.
 
-        Under the default float64 policy this runs the training network
-        (bit-exact with :meth:`fit`-time forward passes); under float32 the
-        normalised inputs are cast once and flow through the compiled
-        float32 network, with de-normalisation back in float64.
+        Returns a fresh float64 array.  Under the default float64 policy it
+        is bit-identical to ``inverse_transform(network.forward(transform(x)))``
+        plus the residual; under float32 the matmuls run in float32.
         """
         if not self.is_fitted:
             raise RuntimeError("Dynamics model must be fitted before prediction")
         raw_inputs = _stack_model_inputs(states, disturbances, actions)
-        if self._inference_dtype == np.float64:
-            x = self.input_normalizer.transform(raw_inputs)
-            y = self.target_normalizer.inverse_transform(self.network.forward(x))
-            predictions = y[:, 0]
-        else:
-            # Normalisation is folded into the compiled weights: one cast of
-            # the raw rows, the matmuls, and the de-normalised result.
-            predictions = self._inference_network().forward(raw_inputs)[:, 0].astype(
-                np.float64
-            )
+        predictions = self._inference_network().forward(raw_inputs)[:, 0].astype(
+            np.float64, copy=False
+        )
         if self.predict_delta:
             predictions = predictions + raw_inputs[:, 0]
         return predictions
@@ -201,10 +195,10 @@ class ThermalDynamicsModel:
 class EnsembleDynamicsModel:
     """Bootstrap-ensemble dynamics model with epistemic uncertainty estimates.
 
-    Supports the same inference dtype policy as
-    :class:`ThermalDynamicsModel`: :meth:`set_inference_dtype` switches every
-    member's forward pass to a compiled cast network (float32 fast path),
-    while float64 remains the bit-exact reference.
+    Predicts like :class:`ThermalDynamicsModel`: every member runs through
+    its own compiled, buffered forward pass, bit-identical to the training
+    members at float64; :meth:`set_inference_dtype` switches them all to
+    float32.
     """
 
     def __init__(
@@ -245,8 +239,7 @@ class EnsembleDynamicsModel:
 
     def _inference_members(self) -> List[CompiledInferenceNetwork]:
         if self._compiled_members is None:
-            # Members share one input/target normaliser (fitted at this
-            # level), folded into each compiled member's weights.
+            # Members share one input/target normaliser, fitted at this level.
             self._compiled_members = [
                 CompiledInferenceNetwork(
                     member,
@@ -296,17 +289,9 @@ class EnsembleDynamicsModel:
         if not self._fitted:
             raise RuntimeError("Dynamics model must be fitted before prediction")
         raw_inputs = _stack_model_inputs(states, disturbances, actions)
-        if self._inference_dtype == np.float64:
-            x = self.input_normalizer.transform(raw_inputs)
-            member_outputs = self.ensemble.predict_all(x)  # (members, n, 1)
-            member_outputs = np.stack(
-                [self.target_normalizer.inverse_transform(out) for out in member_outputs]
-            )
-        else:
-            # Folded members consume raw rows and emit de-normalised outputs.
-            member_outputs = np.stack(
-                [member.forward(raw_inputs) for member in self._inference_members()]
-            )
+        member_outputs = np.stack(  # (members, n, 1), de-normalised
+            [member.forward(raw_inputs) for member in self._inference_members()]
+        )
         mean = member_outputs.mean(axis=0)[:, 0].astype(np.float64)
         std = member_outputs.std(axis=0)[:, 0].astype(np.float64)
         if self.predict_delta:

@@ -8,7 +8,7 @@ deviation) between member predictions is the uncertainty signal.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -73,13 +73,3 @@ class BootstrapEnsemble:
                 )
             )
         return histories
-
-    def predict_all(self, inputs: np.ndarray) -> np.ndarray:
-        """Predictions of every member, shape ``(num_members, n, output_dim)``."""
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        return np.stack([member.forward(inputs) for member in self.members])
-
-    def predict(self, inputs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Ensemble mean and (epistemic) standard deviation per prediction."""
-        all_predictions = self.predict_all(inputs)
-        return all_predictions.mean(axis=0), all_predictions.std(axis=0)

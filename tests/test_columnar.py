@@ -373,13 +373,15 @@ def test_float32_dynamics_predictions_track_float64():
         model.set_inference_dtype("int8")
 
 
-def test_float32_refit_invalidates_compiled_network():
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_float32_refit_invalidates_compiled_network(dtype):
+    # Both dtypes predict through the compiled snapshot, so both must see a refit.
     environment, data, model = _tiny_fitted_model(hidden=(16,))
     rng = np.random.default_rng(5)
     states = rng.uniform(15, 30, size=64)
     disturbances = rng.uniform(0, 1, size=(64, 5))
     actions = rng.uniform(15, 28, size=(64, 2))
-    model.set_inference_dtype("float32")
+    model.set_inference_dtype(dtype)
     before = model.predict(states, disturbances, actions)
     model.fit(data, epochs=8, seed=99)  # different seed -> different weights
     after = model.predict(states, disturbances, actions)
