@@ -15,8 +15,12 @@ horizon) — the same simplification BMS-data-driven extraction has to make.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -24,10 +28,18 @@ import numpy as np
 
 from repro.core.sampling import AugmentedHistoricalSampler
 from repro.data import ActionBatch, ObservationBatch
+from repro.utils import blas
 from repro.utils.rng import RNGLike, ensure_rng, spawn_rngs
 
 #: Index of the occupant-count feature inside the policy-input vector.
 _OCCUPANT_COUNT_FEATURE = 5
+
+
+def worker_count() -> int:
+    """Threads :meth:`DecisionDatasetGenerator.generate` may use: this process's CPUs."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass
@@ -158,30 +170,40 @@ class DecisionDatasetGenerator:
         return sorted(votes.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
 
     # ------------------------------------------------------------------- batch
+    def _spawn_runs(self, num_inputs: int, rng: np.random.Generator) -> List:
+        """Every run's generator for ``num_inputs`` entries, in serial-loop order."""
+        run_rngs: List = []
+        for _ in range(num_inputs):
+            run_rngs.extend(spawn_rngs(rng, self.monte_carlo_runs))
+        return run_rngs
+
     def distill_decisions(
         self, inputs: Union[np.ndarray, ObservationBatch], rng: RNGLike = None
     ) -> np.ndarray:
         """Distil every input at once through the optimiser's batched planner.
 
-        All ``num_inputs × monte_carlo_runs`` planning problems are flattened
-        into one :meth:`~repro.agents.random_shooting.RandomShootingOptimizer.plan_batch`
-        call and the Monte-Carlo votes are counted with one ``bincount``.  The
-        per-problem generators are spawned from ``rng`` in exactly the order
-        the serial loop consumes them, so labels are identical seed-for-seed
-        to repeated :meth:`distill_decision` calls.
+        The per-problem generators are spawned from ``rng`` in exactly the
+        order the serial loop consumes them, so labels are identical
+        seed-for-seed to repeated :meth:`distill_decision` calls.
 
         ``inputs`` may be a plain ``(n, 6)`` array or a columnar
         :class:`~repro.data.ObservationBatch`; either way the whole path down
         to the dynamics model is array ops on the columnar buffer.
         """
         inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+        return self._distill(inputs, self._spawn_runs(len(inputs), ensure_rng(rng)))
+
+    def _distill(self, inputs: np.ndarray, run_rngs: Sequence) -> np.ndarray:
+        """Labels for ``inputs`` from one planning problem per generator.
+
+        All ``num_inputs × monte_carlo_runs`` planning problems are flattened
+        into one :meth:`~repro.agents.random_shooting.RandomShootingOptimizer.plan_batch`
+        call and the Monte-Carlo votes are counted with one ``bincount``.
+        Touches no shared state beyond the (thread-safe) dynamics model, so
+        concurrent calls on different inputs may run on different threads.
+        """
         num_inputs = len(inputs)
         runs = self.monte_carlo_runs
-        base_rng = ensure_rng(rng)
-        run_rngs: List = []
-        for _ in range(num_inputs):
-            run_rngs.extend(spawn_rngs(base_rng, runs))
-
         states = np.repeat(inputs[:, 0], runs)
         disturbances = np.repeat(inputs[:, 1:], runs, axis=0)
         occupied = disturbances[:, _OCCUPANT_COUNT_FEATURE - 1] > self.occupancy_threshold
@@ -222,12 +244,13 @@ class DecisionDatasetGenerator:
         ``inputs`` can be supplied directly (e.g. a grid for ablations); by
         default they are drawn from the augmented historical distribution.
 
-        All Monte-Carlo RS problems run through the vectorised planner
-        (:meth:`distill_decisions`), in chunks that keep roughly 2k candidate
-        sequences in flight: that fits the flattened model batches in cache
-        (much larger chunks are memory-bandwidth-bound and slower).  Labels
+        All Monte-Carlo RS problems run through the vectorised planner, in
+        chunks that keep roughly 2k candidate sequences in flight: that fits
+        the flattened model batches in cache (much larger chunks are
+        memory-bandwidth-bound and slower).  The chunks are shared out over
+        every core this process may run on (:meth:`_run_chunks`).  Labels
         are identical seed-for-seed to a :meth:`distill_decision` loop over
-        the same inputs with the same generator.
+        the same inputs with the same generator, whatever the core count.
         """
         if num_entries <= 0:
             raise ValueError("num_entries must be positive")
@@ -240,8 +263,7 @@ class DecisionDatasetGenerator:
         labels = np.empty(len(inputs), dtype=int)
         chunk = max(1, 2048 // (self.monte_carlo_runs * self.optimizer.num_samples))
         start = time.perf_counter()
-        for lo in range(0, len(inputs), chunk):
-            labels[lo : lo + chunk] = self.distill_decisions(inputs[lo : lo + chunk], rng=rng)
+        self._run_chunks(inputs, labels, chunk, rng)
         elapsed = time.perf_counter() - start
 
         return DecisionDataset(
@@ -251,3 +273,52 @@ class DecisionDatasetGenerator:
             generation_seconds_per_entry=elapsed / max(len(inputs), 1),
             monte_carlo_runs=self.monte_carlo_runs,
         )
+
+    def _run_chunks(
+        self, inputs: np.ndarray, labels: np.ndarray, chunk: int, rng: np.random.Generator
+    ) -> None:
+        """Label ``inputs`` into ``labels``, ``chunk`` entries at a time, on every core.
+
+        The calling thread and up to ``worker_count() - 1`` helper threads
+        each loop: under one lock, claim the next chunk and draw its
+        generators from ``rng`` (so the draws happen in serial order, whoever
+        claims which chunk); outside it, plan the chunk and write its labels
+        by index.  Helpers run only while OpenBLAS is pinned to one thread:
+        numpy releases the interpreter lock inside its matmuls, and a BLAS
+        pool per Python thread would oversubscribe the cores.  A failure in
+        any thread stops the others claiming chunks; every helper is joined
+        before the error reaches the caller.
+        """
+        starts = iter(range(0, len(inputs), chunk))
+        lock = threading.Lock()
+        stop = threading.Event()
+
+        def work() -> None:
+            while True:
+                with lock:
+                    lo = None if stop.is_set() else next(starts, None)
+                    if lo is None:
+                        return
+                    rows = inputs[lo : lo + chunk]
+                    run_rngs = self._spawn_runs(len(rows), rng)
+                try:
+                    labels[lo : lo + chunk] = self._distill(rows, run_rngs)
+                except BaseException:
+                    stop.set()
+                    raise
+
+        helpers = min(worker_count(), -(-len(inputs) // chunk)) - 1
+        with blas.single_threaded() if helpers > 0 else nullcontext(False) as pinned:
+            if not pinned:
+                work()
+                return
+            # Build the compiled network once, before the threads race to it.
+            self.optimizer.dynamics_model.compile()
+            with ThreadPoolExecutor(max_workers=helpers) as pool:
+                futures = [pool.submit(work) for _ in range(helpers)]
+                try:
+                    work()
+                finally:
+                    stop.set()
+                for future in futures:
+                    future.result()

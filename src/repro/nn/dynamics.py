@@ -14,6 +14,7 @@ Two variants are provided:
 
 from __future__ import annotations
 
+import threading
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -29,6 +30,10 @@ from repro.utils.rng import RNGLike, ensure_rng
 #: Dynamics-model input layout: [s, d_1..d_5, heating setpoint, cooling setpoint].
 DYNAMICS_INPUT_DIM = 8
 DYNAMICS_OUTPUT_DIM = 1
+
+#: Serialises building compiled networks, so threads making their first
+#: predictions at once share one network (module-level: models pickle).
+_COMPILE_LOCK = threading.Lock()
 
 
 def _stack_model_inputs(
@@ -100,17 +105,27 @@ class ThermalDynamicsModel:
         self._compiled_net = None
         return self
 
+    def compile(self) -> None:
+        """Build the compiled network now instead of on the first prediction."""
+        if not self.is_fitted:
+            raise RuntimeError("Dynamics model must be fitted before prediction")
+        self._inference_network()
+
     def _inference_network(self) -> CompiledInferenceNetwork:
-        if self._compiled_net is None:
-            # The compiled net consumes raw (s, d, a) rows and emits
-            # de-normalised targets (folded into the weights at float32).
-            self._compiled_net = CompiledInferenceNetwork(
-                self.network,
-                dtype=self._inference_dtype,
-                input_normalizer=self.input_normalizer,
-                target_normalizer=self.target_normalizer,
-            )
-        return self._compiled_net
+        net = self._compiled_net
+        if net is None:
+            with _COMPILE_LOCK:
+                if self._compiled_net is None:
+                    # The compiled net consumes raw (s, d, a) rows and emits
+                    # de-normalised targets (folded into the weights at float32).
+                    self._compiled_net = CompiledInferenceNetwork(
+                        self.network,
+                        dtype=self._inference_dtype,
+                        input_normalizer=self.input_normalizer,
+                        target_normalizer=self.target_normalizer,
+                    )
+                net = self._compiled_net
+        return net
 
     # -------------------------------------------------------------------- fit
     def fit(
@@ -237,19 +252,29 @@ class EnsembleDynamicsModel:
         self._compiled_members = None
         return self
 
+    def compile(self) -> None:
+        """Build the compiled members now instead of on the first prediction."""
+        if not self.is_fitted:
+            raise RuntimeError("Dynamics model must be fitted before prediction")
+        self._inference_members()
+
     def _inference_members(self) -> List[CompiledInferenceNetwork]:
-        if self._compiled_members is None:
-            # Members share one input/target normaliser, fitted at this level.
-            self._compiled_members = [
-                CompiledInferenceNetwork(
-                    member,
-                    dtype=self._inference_dtype,
-                    input_normalizer=self.input_normalizer,
-                    target_normalizer=self.target_normalizer,
-                )
-                for member in self.ensemble.members
-            ]
-        return self._compiled_members
+        members = self._compiled_members
+        if members is None:
+            with _COMPILE_LOCK:
+                if self._compiled_members is None:
+                    # Members share one input/target normaliser, fitted at this level.
+                    self._compiled_members = [
+                        CompiledInferenceNetwork(
+                            member,
+                            dtype=self._inference_dtype,
+                            input_normalizer=self.input_normalizer,
+                            target_normalizer=self.target_normalizer,
+                        )
+                        for member in self.ensemble.members
+                    ]
+                members = self._compiled_members
+        return members
 
     def fit(
         self,

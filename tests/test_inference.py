@@ -3,7 +3,8 @@
 At float64 it must reproduce the reference composition bit for bit —
 ``Normalizer.transform`` → ``MLP.forward`` → ``inverse_transform`` plus the
 residual state — at every row count, including the block boundaries, calls
-of alternating sizes and concurrent threads; its workspace must stay within
+of alternating sizes and concurrent threads; threads making their first
+calls at once must share one compiled network; its workspace must stay within
 one block; and a result must never alias the workspace.  The golden pins the
 paper-shaped labels and predictions recorded before the buffered pass
 existed.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -175,6 +177,44 @@ def test_threads_predicting_at_once_get_the_reference(model_class):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert mismatches == []
+
+
+@pytest.mark.parametrize("model_class", MODEL_CLASSES)
+def test_first_predictions_at_once_share_one_compiled_network(model_class, monkeypatch):
+    import repro.nn.dynamics as dynamics
+
+    model = _fitted(model_class, (8,), seed=10)
+    original = dynamics.CompiledInferenceNetwork
+    built = []
+
+    def slow_build(*args, **kwargs):
+        time.sleep(0.05)  # widen the window two racing first calls would share
+        network = original(*args, **kwargs)
+        built.append(network)
+        return network
+
+    monkeypatch.setattr(dynamics, "CompiledInferenceNetwork", slow_build)
+    inputs = _raw(3, 0)
+    barrier = threading.Barrier(2)
+    compiled = []
+
+    def first_call() -> None:
+        barrier.wait()
+        model.predict(*inputs)
+        if isinstance(model, ThermalDynamicsModel):
+            compiled.append(model._inference_network())
+        else:
+            compiled.append(model._inference_members())
+
+    threads = [threading.Thread(target=first_call) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(compiled) == 2 and compiled[0] is compiled[1]
+    members = 1 if isinstance(model, ThermalDynamicsModel) else len(model.ensemble.members)
+    assert len(built) == members
 
 
 def test_pickled_network_predicts_the_same():
