@@ -25,7 +25,7 @@ import sys
 #: The packages whose public API must be fully documented (dtypes, shapes and
 #: shared-memory ownership live in these docstrings — see docs/serving.md;
 #: lint rule semantics live in repro.analysis — see docs/static-analysis.md).
-DEFAULT_SCOPE = ["repro.data", "repro.serving", "repro.analysis", "repro.fleet"]
+DEFAULT_SCOPE = ["repro.data", "repro.serving", "repro.analysis", "repro.fleet", "repro.env"]
 
 
 def iter_modules(package_name: str):

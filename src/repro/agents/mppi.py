@@ -14,8 +14,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.agents.mbrl import MBRLAgent
-from repro.agents.random_shooting import OptimizationResult
+from repro.agents.random_shooting import OptimizationResult, RandomShootingOptimizer
 from repro.agents.registry import register_agent
+from repro.env.reward import compute_rewards
 from repro.env.spaces import SetpointSpace
 from repro.utils.config import ActionSpaceConfig, RewardConfig
 from repro.utils.rng import RNGLike, ensure_rng
@@ -69,6 +70,8 @@ class MPPIOptimizer:
         if len(occupied) < horizon:
             raise ValueError("occupied_forecast must cover the planning horizon")
         cfg = self.action_config
+        comfort = self.reward_config.comfort
+        band, off = (comfort.lower, comfort.upper), cfg.off_setpoints()
 
         # Nominal sequence: hold the comfort midpoint for heating, max cooling.
         nominal_heating = np.full(horizon, self.reward_config.comfort.midpoint, dtype=np.float64)
@@ -83,19 +86,17 @@ class MPPIOptimizer:
 
             states = np.full(self.num_samples, float(state), dtype=np.float64)
             returns = np.zeros(self.num_samples, dtype=np.float64)
-            off_heating, off_cooling = cfg.off_setpoints()
-            comfort = self.reward_config.comfort
             for t in range(horizon):
                 actions = np.column_stack([heating[:, t], cooling[:, t]])
                 disturbances = np.repeat(
                     disturbance_forecast[t].reshape(1, -1), self.num_samples, axis=0
                 )
                 next_states = self._predict(states, disturbances, actions)
-                energy = np.abs(heating[:, t] - off_heating) + np.abs(cooling[:, t] - off_cooling)
-                above = np.maximum(next_states - comfort.upper, 0.0)
-                below = np.maximum(comfort.lower - next_states, 0.0)
-                w_e = self.reward_config.energy_weight(occupied[t])
-                returns += (self.discount**t) * (-w_e * energy - (1.0 - w_e) * (above + below))
+                rewards, _, _ = compute_rewards(
+                    next_states, heating[:, t], cooling[:, t],
+                    self.reward_config.energy_weight(occupied[t]), band, off,
+                )
+                returns += (self.discount**t) * rewards
                 states = next_states
 
             weights = np.exp((returns - returns.max()) / self.temperature)
@@ -116,17 +117,11 @@ class MPPIOptimizer:
             best_action_index=best_index,
             best_sequence=best_sequence,
             best_return=float(returns.max()),
-            first_action_returns={best_index: float(returns.max())},
             best_setpoints=tuple(int(v) for v in best_pair),
         )
 
-    def _predict(
-        self, states: np.ndarray, disturbances: np.ndarray, actions: np.ndarray
-    ) -> np.ndarray:
-        prediction = self.dynamics_model.predict(states, disturbances, actions)
-        if isinstance(prediction, tuple):
-            return prediction[0]
-        return prediction
+    # Same mean-prediction adapter (ensembles return (mean, std)) as RS.
+    _predict = RandomShootingOptimizer._predict
 
 
 @register_agent("mppi")

@@ -27,10 +27,6 @@ from repro.env.hvac_env import HVACEnvironment
 from repro.utils.config import ComfortConfig
 from repro.utils.rng import RNGLike
 
-#: Setpoint codes for the vectorised (heating, cooling) -> index lookup.
-#: Setpoints are small integers, so ``h * _CODE_BASE + c`` is collision-free.
-_CODE_BASE = 1024
-
 
 @register_agent(
     "pid",
@@ -131,13 +127,12 @@ class PIDAgent(BaseAgent):
     ) -> ActionBatch:
         """Vectorised PID update over the whole batch.
 
-        Per-agent gains and the action-space clip bounds are compiled once per
-        (agents, environments) pairing; each tick is then pure array math plus
-        a state gather/scatter on the agent instances, with the (heating,
-        cooling) -> index lookup done by binary search over setpoint codes.
-        Every operation mirrors :meth:`select_action` element-wise (python
-        ``round``/``min``/``max`` and ``np.round``/``np.minimum``/
-        ``np.maximum`` agree bit-for-bit on these values), so batched
+        Per-agent gains are compiled once per (agents, environments) pairing;
+        each tick is then pure array math plus a state gather/scatter on the
+        agent instances, through the shared vectorised clip
+        (:meth:`~repro.utils.config.ActionSpaceConfig.clip_batch`) and pair
+        lookup (:meth:`~repro.env.spaces.SetpointSpace.to_indices`).  Every
+        operation mirrors :meth:`select_action` element-wise, so batched
         decisions equal the per-episode path exactly.  Falls back to the
         per-episode loop when the environments do not share an action space.
         """
@@ -161,8 +156,8 @@ class PIDAgent(BaseAgent):
             windup,
             band,
             off_idx,
-            clip,
-            indexer,
+            actions,
+            space,
         ) = compiled
 
         count = len(agents)
@@ -179,8 +174,8 @@ class PIDAgent(BaseAgent):
         derivative = np.where(has_prev, error - prev_error, 0.0)
         control = kp * error + ki * new_integral + kd * derivative
         center = midpoint + control
-        heating, cooling = clip(center - band, center + band)
-        indices = np.where(occ, indexer(heating, cooling), off_idx)
+        heating, cooling = actions.clip_batch(center - band, center + band)
+        indices = np.where(occ, space.to_indices(heating, cooling), off_idx)
 
         for i, agent in enumerate(agents):
             if occ[i]:
@@ -198,8 +193,8 @@ def _compile_batch(
     agents: Sequence[PIDAgent], environments: Sequence[HVACEnvironment]
 ):
     """Per-step constants for the batch fast path (None -> fall back)."""
-    first_pairs = environments[0].action_space.pairs
-    if any(env.action_space.pairs != first_pairs for env in environments[1:]):
+    first = environments[0]
+    if any(env.config.actions != first.config.actions for env in environments[1:]):
         return None
     count = len(agents)
     steps = min(env.num_steps for env in environments)
@@ -212,51 +207,13 @@ def _compile_batch(
     kd = np.empty(count, dtype=float)
     windup = np.empty(count, dtype=float)
     band = np.empty(count, dtype=float)
-    off_idx = np.empty(count, dtype=np.int64)
-    bounds = np.empty((count, 4), dtype=float)
-    for i, (agent, env) in enumerate(zip(agents, environments)):
-        actions = env.config.actions
+    for i, agent in enumerate(agents):
         midpoint[i] = agent.comfort.midpoint
         kp[i] = agent.kp
         ki[i] = agent.ki
         kd[i] = agent.kd
         windup[i] = agent.windup_limit
         band[i] = agent.band
-        off_idx[i] = env.action_space.to_index(
-            *actions.clip(*actions.off_setpoints())
-        )
-        bounds[i] = (
-            actions.heating_min,
-            actions.heating_max,
-            actions.cooling_min,
-            actions.cooling_max,
-        )
-    hmin, hmax, cmin, cmax = bounds[:, 0], bounds[:, 1], bounds[:, 2], bounds[:, 3]
-
-    def clip(heating: np.ndarray, cooling: np.ndarray):
-        h = np.round(heating)
-        c = np.round(cooling)
-        h = np.minimum(np.maximum(h, hmin), hmax)
-        c = np.minimum(np.maximum(c, cmin), cmax)
-        bad = h > c
-        c_fix = np.minimum(np.maximum(h, cmin), cmax)
-        h_fix = np.minimum(h, c_fix)
-        return np.where(bad, h_fix, h), np.where(bad, c_fix, c)
-
-    pair_table = np.array(first_pairs, dtype=np.int64)
-    codes = pair_table[:, 0] * _CODE_BASE + pair_table[:, 1]
-    order = np.argsort(codes)
-    sorted_codes = codes[order]
-
-    def indexer(heating: np.ndarray, cooling: np.ndarray) -> np.ndarray:
-        query = (
-            heating.astype(np.int64) * _CODE_BASE + cooling.astype(np.int64)
-        )
-        slots = np.searchsorted(sorted_codes, query)
-        if (slots >= len(sorted_codes)).any() or (
-            sorted_codes[np.minimum(slots, len(sorted_codes) - 1)] != query
-        ).any():
-            raise ValueError("Clipped setpoint pair outside the action table")
-        return order[slots]
-
-    return (occupied, midpoint, kp, ki, kd, windup, band, off_idx, clip, indexer)
+    actions = first.config.actions
+    off_idx = first.action_space.to_index(*actions.clip(*actions.off_setpoints()))
+    return (occupied, midpoint, kp, ki, kd, windup, band, off_idx, actions, first.action_space)

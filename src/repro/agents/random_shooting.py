@@ -15,12 +15,12 @@ RS runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.env.reward import comfort_violation_amount, setpoint_energy_proxy
+from repro.env.reward import compute_rewards
 from repro.env.spaces import SetpointSpace
 from repro.utils.config import ActionSpaceConfig, RewardConfig
 from repro.utils.rng import RNGLike, ensure_rng, spawn_rngs
@@ -33,7 +33,6 @@ class OptimizationResult:
     best_action_index: int
     best_sequence: np.ndarray
     best_return: float
-    first_action_returns: Dict[int, float] = field(default_factory=dict)
     best_setpoints: Optional[Tuple[int, int]] = None
 
 
@@ -42,8 +41,7 @@ class BatchPlanResult:
     """Outcome of one :meth:`RandomShootingOptimizer.plan_batch` call.
 
     Arrays are indexed by planning problem; ``result(i)`` materialises the
-    ``i``-th problem as an :class:`OptimizationResult` (without the per-action
-    return table, which the batched path does not build).
+    ``i``-th problem as an :class:`OptimizationResult`.
     """
 
     best_action_indices: np.ndarray
@@ -94,29 +92,12 @@ class RandomShootingOptimizer:
         # Pre-compute the (index -> setpoint pair) table as an array for fast lookup.
         self._pairs = np.array(action_space.pairs, dtype=float)
 
-    # ----------------------------------------------------------------- reward
-    def _step_rewards(
-        self,
-        next_states: np.ndarray,
-        action_indices: np.ndarray,
-        occupied: Union[bool, np.ndarray],
-    ) -> np.ndarray:
-        """Vectorised Eq. 2 over a batch of predicted next states and actions.
-
-        ``occupied`` may be a scalar (one planning problem) or a per-row bool
-        array (mixed problems inside one :meth:`plan_batch` call).
-        """
-        pairs = self._pairs[action_indices]
-        off_heating, off_cooling = self.action_config.off_setpoints()
-        energy = np.abs(pairs[:, 0] - off_heating) + np.abs(pairs[:, 1] - off_cooling)
+    def _rewards(self, next_states: np.ndarray, actions: np.ndarray, energy_weight) -> np.ndarray:
+        """Eq. 2 (:func:`~repro.env.reward.compute_rewards`) of ``(rows, 2)`` setpoint actions."""
         comfort = self.reward_config.comfort
-        above = np.maximum(next_states - comfort.upper, 0.0)
-        below = np.maximum(comfort.lower - next_states, 0.0)
-        if isinstance(occupied, np.ndarray):
-            w_e = self.reward_config.energy_weights(occupied)
-        else:
-            w_e = self.reward_config.energy_weight(occupied)
-        return -w_e * energy - (1.0 - w_e) * (above + below)
+        band, off = (comfort.lower, comfort.upper), self.action_config.off_setpoints()
+        heating, cooling = actions[:, 0], actions[:, 1]
+        return compute_rewards(next_states, heating, cooling, energy_weight, band, off)[0]
 
     # ------------------------------------------------------------------- plan
     def plan(
@@ -154,29 +135,23 @@ class RandomShootingOptimizer:
         returns = np.zeros(self.num_samples, dtype=np.float64)
 
         for t in range(horizon):
-            action_indices = sequences[:, t]
-            actions = self._pairs[action_indices]
+            actions = self._pairs[sequences[:, t]]
             # A read-only broadcast view: no (num_samples, 5) copy per step.
             disturbances = np.broadcast_to(
                 disturbance_forecast[t], (self.num_samples, disturbance_forecast.shape[1])
             )
             next_states = self._predict(states, disturbances, actions)
-            returns += (self.discount**t) * self._step_rewards(
-                next_states, action_indices, occupied[t]
+            returns += (self.discount**t) * self._rewards(
+                next_states, actions, self.reward_config.energy_weight(occupied[t])
             )
             states = next_states
 
         best = int(np.argmax(returns))
-        first_actions = sequences[:, 0]
-        first_action_returns: Dict[int, float] = {}
-        for action in np.unique(first_actions):
-            first_action_returns[int(action)] = float(returns[first_actions == action].max())
         best_index = int(sequences[best, 0])
         return OptimizationResult(
             best_action_index=best_index,
             best_sequence=sequences[best].copy(),
             best_return=float(returns[best]),
-            first_action_returns=first_action_returns,
             best_setpoints=tuple(int(v) for v in self._pairs[best_index]),
         )
 
@@ -251,8 +226,7 @@ class RandomShootingOptimizer:
             shared_occupied = np.repeat(occupied[:, 0], num_samples)
 
         for t in range(horizon):
-            action_indices = flat_sequences[:, t]
-            actions = self._pairs[action_indices]
+            actions = self._pairs[flat_sequences[:, t]]
             if persistent:
                 disturbances = shared_disturbances
                 occupied_t = shared_occupied
@@ -260,9 +234,8 @@ class RandomShootingOptimizer:
                 disturbances = np.repeat(forecasts[:, t, :], num_samples, axis=0)
                 occupied_t = np.repeat(occupied[:, t], num_samples)
             next_states = self._predict(flat_states, disturbances, actions)
-            returns += (self.discount**t) * self._step_rewards(
-                next_states, action_indices, occupied_t
-            )
+            weights = self.reward_config.energy_weights(occupied_t)
+            returns += (self.discount**t) * self._rewards(next_states, actions, weights)
             flat_states = next_states
 
         per_problem = returns.reshape(n_problems, num_samples)

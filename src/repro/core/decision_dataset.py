@@ -11,6 +11,9 @@ importance-sampling answer to the dimensionality of the input space.  Since the
 sampled inputs are not tied to a specific timestamp, the optimiser plans under
 a persistence forecast (the sampled disturbance held constant over the planning
 horizon) — the same simplification BMS-data-driven extraction has to make.
+
+The vectorised vote (:meth:`DecisionDatasetGenerator.distill_decisions`) is
+also the fleet's online drift teacher (:class:`~repro.fleet.drift.MPCTeacher`).
 """
 
 from __future__ import annotations
@@ -129,12 +132,15 @@ class DecisionDataset:
 
 
 class DecisionDatasetGenerator:
-    """Distils the stochastic optimiser into deterministic decisions."""
+    """Distils the stochastic optimiser into deterministic decisions.
+
+    ``sampler`` may be ``None`` when inputs are always supplied.
+    """
 
     def __init__(
         self,
         optimizer,
-        sampler: AugmentedHistoricalSampler,
+        sampler: Optional[AugmentedHistoricalSampler],
         action_pairs: Sequence[Tuple[int, int]],
         monte_carlo_runs: int = 5,
         planning_horizon: int = 20,
@@ -256,6 +262,8 @@ class DecisionDatasetGenerator:
             raise ValueError("num_entries must be positive")
         rng = ensure_rng(seed)
         if inputs is None:
+            if self.sampler is None:
+                raise ValueError("inputs are required when the generator has no sampler")
             inputs = self.sampler.sample(num_entries, rng)
         else:
             inputs = np.atleast_2d(np.asarray(inputs, dtype=float))[:num_entries]

@@ -125,18 +125,22 @@ class HVACEnvironment:
 
     @property
     def step_index(self) -> int:
+        """Control steps taken since the last reset."""
         return self._step_index
 
     @property
     def step_duration_seconds(self) -> float:
+        """Length of one control step in seconds."""
         return self.config.simulation.minutes_per_step * 60.0
 
     @property
     def observation_names(self) -> List[str]:
+        """Names of the Table-1 observation features, in order."""
         return list(OBSERVATION_NAMES)
 
     @property
     def disturbance_names(self) -> List[str]:
+        """Names of the disturbance features, in order."""
         return list(DISTURBANCE_NAMES)
 
     @property
@@ -165,6 +169,7 @@ class HVACEnvironment:
         return occupied
 
     def hour_of_day_at(self, step: int) -> float:
+        """Hour of day at ``step`` (wrapping around the weather trace)."""
         return float(self.weather.hour_of_day[int(step) % len(self.weather)])
 
     def disturbance_forecast(self, start_step: int, horizon: int) -> np.ndarray:

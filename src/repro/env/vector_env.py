@@ -30,6 +30,7 @@ from repro.buildings.hvac import BatchedHVACPlant
 from repro.buildings.thermal import OCCUPANT_GAIN_W
 from repro.data import ActionBatch, InfoBatch, ObservationBatch
 from repro.env.hvac_env import HVACEnvironment
+from repro.env.reward import compute_rewards
 
 
 @dataclass
@@ -108,23 +109,14 @@ class BatchedHVACEnvironment:
             [e.initial_zone_temperature for e in self.environments]
         )
 
-        # Per-episode reward/action parameters (identical under one scenario,
-        # but cheap to keep per-row).
-        self._comfort_lower = np.array(
-            [e.config.reward.comfort.lower for e in self.environments]
-        )
-        self._comfort_upper = np.array(
-            [e.config.reward.comfort.upper for e in self.environments]
-        )
-        self._w_occupied = np.array(
-            [e.config.reward.weight_energy_occupied for e in self.environments]
-        )
-        self._w_unoccupied = np.array(
-            [e.config.reward.weight_energy_unoccupied for e in self.environments]
-        )
-        off = np.array([e.config.actions.off_setpoints() for e in self.environments], dtype=float)
-        self._off_heating = off[:, 0]
-        self._off_cooling = off[:, 1]
+        # Per-episode reward parameters (identical under one scenario, but
+        # cheap to keep per-row); the action space is shared (validated).
+        rewards = [e.config.reward for e in self.environments]
+        self._comfort_lower = np.array([r.comfort.lower for r in rewards])
+        self._comfort_upper = np.array([r.comfort.upper for r in rewards])
+        self._w_occupied = np.array([r.weight_energy_occupied for r in rewards])
+        self._w_unoccupied = np.array([r.weight_energy_unoccupied for r in rewards])
+        self._actions = first.config.actions
         self._pairs = np.array(first.action_space.pairs, dtype=float)
 
         self._step_index = 0
@@ -182,20 +174,6 @@ class BatchedHVACEnvironment:
             or self._dist_dr.any()
             or (self._dist_cycle_limit > 0).any()
         )
-        actions = np.array(
-            [
-                (
-                    e.config.actions.heating_min,
-                    e.config.actions.heating_max,
-                    e.config.actions.cooling_min,
-                    e.config.actions.cooling_max,
-                )
-                for e in self.environments
-            ],
-            dtype=float,
-        )
-        self._act_hmin, self._act_hmax = actions[:, 0], actions[:, 1]
-        self._act_cmin, self._act_cmax = actions[:, 2], actions[:, 3]
         self._reset_fault_state()
 
     def _reset_fault_state(self) -> None:
@@ -247,16 +225,18 @@ class BatchedHVACEnvironment:
                 )
             if network.substep_seconds != reference.substep_seconds:
                 raise ValueError("All buildings must share the thermal sub-step")
-            if env.action_space.pairs != first.action_space.pairs:
+            if env.config.actions != first.config.actions:
                 raise ValueError("All episodes must share the action space")
 
     # -------------------------------------------------------------- properties
     @property
     def batch_size(self) -> int:
+        """Number of episodes ``B``."""
         return len(self.environments)
 
     @property
     def step_index(self) -> int:
+        """Control steps taken since the last reset."""
         return self._step_index
 
     @property
@@ -266,6 +246,7 @@ class BatchedHVACEnvironment:
 
     @property
     def controlled_zone_temperatures(self) -> np.ndarray:
+        """Current ``(B,)`` controlled-zone temperatures."""
         return self._temperatures[:, self._controlled_index].copy()
 
     def observations(self) -> ObservationBatch:
@@ -351,8 +332,10 @@ class BatchedHVACEnvironment:
         self._temperatures = temps
 
         zone_temperature = temps[:, self._controlled_index]
-        rewards, energy_proxy, comfort_violation, w_e = self._compute_rewards(
-            zone_temperature, heating, cooling, occupied
+        w_e = np.where(occupied, self._w_occupied, self._w_unoccupied)
+        band = (self._comfort_lower, self._comfort_upper)
+        rewards, energy_proxy, comfort_violation = compute_rewards(
+            zone_temperature, heating, cooling, w_e, band, self._actions.off_setpoints()
         )
 
         self._step_index += 1
@@ -436,7 +419,7 @@ class BatchedHVACEnvironment:
         """
         dr = self._dist_dr[:, step]
         if dr.any():
-            h_dr, c_dr = self._clip_batch(
+            h_dr, c_dr = self._actions.clip_batch(
                 heating - self._dist_setback, cooling + self._dist_setback
             )
             heating = np.where(dr, h_dr, heating)
@@ -464,21 +447,6 @@ class BatchedHVACEnvironment:
         self._fault_has_last = np.ones(self.batch_size, dtype=bool)
         return heating, cooling, freeze, dr
 
-    def _clip_batch(
-        self, heating: np.ndarray, cooling: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`~repro.utils.config.ActionSpaceConfig.clip`."""
-        h = np.round(heating)
-        c = np.round(cooling)
-        h = np.minimum(np.maximum(h, self._act_hmin), self._act_hmax)
-        c = np.minimum(np.maximum(c, self._act_cmin), self._act_cmax)
-        bad = h > c
-        c_fix = np.minimum(np.maximum(h, self._act_cmin), self._act_cmax)
-        h_fix = np.minimum(h, c_fix)
-        c = np.where(bad, c_fix, c)
-        h = np.where(bad, h_fix, h)
-        return h, c
-
     def _resolve_actions(
         self, actions: Union[ActionBatch, np.ndarray, Sequence]
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -498,31 +466,7 @@ class BatchedHVACEnvironment:
             pairs = self._pairs[actions]
             return pairs[:, 0], pairs[:, 1]
         if actions.ndim == 2 and actions.shape == (self.batch_size, 2):
-            resolved = np.array(
-                [
-                    env._resolve_action((float(a[0]), float(a[1])))
-                    for env, a in zip(self.environments, actions)
-                ],
-                dtype=float,
-            )
-            return resolved[:, 0], resolved[:, 1]
+            return self._actions.clip_batch(actions[:, 0], actions[:, 1])
         raise ValueError(
             "actions must be a (B,) integer index array or a (B, 2) setpoint array"
         )
-
-    def _compute_rewards(
-        self,
-        zone_temperature: np.ndarray,
-        heating: np.ndarray,
-        cooling: np.ndarray,
-        occupied: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorised Eq. 2, mirroring :func:`repro.env.reward.compute_reward`."""
-        w_e = np.where(occupied, self._w_occupied, self._w_unoccupied)
-        energy_proxy = np.abs(heating - self._off_heating) + np.abs(cooling - self._off_cooling)
-        above = np.maximum(zone_temperature - self._comfort_upper, 0.0)
-        below = np.maximum(self._comfort_lower - zone_temperature, 0.0)
-        violation = above + below
-        energy_term = -w_e * energy_proxy
-        comfort_term = -(1.0 - w_e) * violation
-        return energy_term + comfort_term, energy_proxy, violation, w_e

@@ -15,7 +15,7 @@ Two teachers are provided:
 
 * :class:`MPCTeacher` — the real thing: the paper's
   :class:`~repro.agents.random_shooting.RandomShootingOptimizer` under the
-  same Monte-Carlo vote used at distillation time
+  Monte-Carlo vote; it calls the distillation vote
   (:meth:`~repro.core.decision_dataset.DecisionDatasetGenerator.distill_decisions`),
   with persistence forecasts built from the sampled observation itself.
 * :class:`TreePolicyTeacher` — a frozen reference tree (typically the
@@ -28,16 +28,14 @@ keeps the whole closed loop bit-reproducible.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.agents.random_shooting import RandomShootingOptimizer
+from repro.core.decision_dataset import DecisionDatasetGenerator
 from repro.core.tree_policy import TreePolicy
-from repro.utils.rng import RNGLike, ensure_rng, spawn_rngs
-
-#: Column of the Table-1 observation vector holding the occupant count.
-_OCCUPANT_COUNT_FEATURE = 5
+from repro.utils.rng import RNGLike, ensure_rng
 
 
 class TreePolicyTeacher:
@@ -56,7 +54,7 @@ class TreePolicyTeacher:
 class MPCTeacher:
     """The random-shooting MPC teacher under the distillation-time MC vote.
 
-    Mirrors
+    Calls the distillation vote,
     :meth:`~repro.core.decision_dataset.DecisionDatasetGenerator.distill_decisions`:
     each sampled observation becomes ``monte_carlo_runs`` planning problems
     with a persistence forecast (the observed disturbance held over the
@@ -78,49 +76,21 @@ class MPCTeacher:
         occupancy_threshold: float = 0.5,
         seed: RNGLike = 0,
     ):
-        if monte_carlo_runs <= 0:
-            raise ValueError("monte_carlo_runs must be positive")
-        if planning_horizon <= 0:
-            raise ValueError("planning_horizon must be positive")
         self.optimizer = optimizer
-        self._pairs = np.asarray(list(action_pairs), dtype=np.int64)
-        self.monte_carlo_runs = int(monte_carlo_runs)
-        self.planning_horizon = int(planning_horizon)
-        self.occupancy_threshold = float(occupancy_threshold)
+        self._vote = DecisionDatasetGenerator(
+            optimizer,
+            None,
+            action_pairs,
+            monte_carlo_runs=monte_carlo_runs,
+            planning_horizon=planning_horizon,
+            occupancy_threshold=occupancy_threshold,
+        )
+        self._pairs = np.asarray(self._vote.action_pairs, dtype=np.int64)
         self._rng = ensure_rng(seed)
 
     def label_pairs(self, inputs: np.ndarray) -> np.ndarray:
         """Teacher ``(N, 2)`` setpoint pairs for ``(N, 6)`` observations."""
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        num_inputs = len(inputs)
-        runs = self.monte_carlo_runs
-        run_rngs: List = []
-        for _ in range(num_inputs):
-            run_rngs.extend(spawn_rngs(self._rng, runs))
-
-        states = np.repeat(inputs[:, 0], runs)
-        disturbances = np.repeat(inputs[:, 1:], runs, axis=0)
-        occupied = disturbances[:, _OCCUPANT_COUNT_FEATURE - 1] > self.occupancy_threshold
-        n_problems = num_inputs * runs
-        forecasts = np.broadcast_to(
-            disturbances[:, np.newaxis, :],
-            (n_problems, self.planning_horizon, disturbances.shape[1]),
-        )
-        occupied_forecasts = np.broadcast_to(
-            occupied[:, np.newaxis], (n_problems, self.planning_horizon)
-        )
-        plan = self.optimizer.plan_batch(
-            states, forecasts, occupied_forecasts, rngs=run_rngs
-        )
-        best_first = np.asarray(plan.best_action_indices, dtype=np.int64).reshape(
-            num_inputs, runs
-        )
-        num_actions = len(self._pairs)
-        offsets = np.arange(num_inputs)[:, np.newaxis] * num_actions
-        counts = np.bincount(
-            (best_first + offsets).ravel(), minlength=num_inputs * num_actions
-        ).reshape(num_inputs, num_actions)
-        return self._pairs[np.argmax(counts, axis=1)]
+        return self._pairs[self._vote.distill_decisions(inputs, rng=self._rng)]
 
 
 class _VersionWindow:

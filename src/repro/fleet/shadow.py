@@ -31,6 +31,8 @@ from typing import Any, Dict
 
 import numpy as np
 
+from repro.env.reward import setpoint_energy_proxies
+
 
 class ShadowEvaluator:
     """Windowed incumbent-vs-candidate comparison on identical observations."""
@@ -68,8 +70,8 @@ class ShadowEvaluator:
     # -------------------------------------------------------------- helpers
     def _energy_proxy(self, pairs: np.ndarray) -> np.ndarray:
         """Eq. 2's energy proxy of commanded ``(N, 2)`` setpoint pairs."""
-        return np.abs(pairs[:, 0] - self.off_heating) + np.abs(
-            pairs[:, 1] - self.off_cooling
+        return setpoint_energy_proxies(
+            pairs[:, 0], pairs[:, 1], (self.off_heating, self.off_cooling)
         )
 
     def _comfort_risk(self, pairs: np.ndarray) -> np.ndarray:

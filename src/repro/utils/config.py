@@ -152,6 +152,22 @@ class ActionSpaceConfig:
             h = min(h, c)
         return h, c
 
+    def clip_batch(
+        self, heating: "np.ndarray", cooling: "np.ndarray"
+    ) -> Tuple["np.ndarray", "np.ndarray"]:
+        """Vectorised :meth:`clip` (float results; non-finite input raises ``ValueError``)."""
+        import numpy as np
+
+        h = np.round(np.asarray(heating, dtype=float))
+        c = np.round(np.asarray(cooling, dtype=float))
+        if not (np.isfinite(h).all() and np.isfinite(c).all()):
+            raise ValueError("Setpoints must be finite")
+        h = np.minimum(np.maximum(h, self.heating_min), self.heating_max)
+        c = np.minimum(np.maximum(c, self.cooling_min), self.cooling_max)
+        bad = h > c
+        c_fix = np.minimum(np.maximum(h, self.cooling_min), self.cooling_max)
+        return np.where(bad, np.minimum(h, c_fix), h), np.where(bad, c_fix, c)
+
     def off_setpoints(self) -> Tuple[int, int]:
         """Setpoints corresponding to the HVAC being effectively off.
 

@@ -9,6 +9,8 @@ Monte-Carlo distillation and the runner backends.
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from repro.agents.random_shooting import RandomShootingOptimizer
 from repro.agents.rule_based import RuleBasedAgent
@@ -16,10 +18,13 @@ from repro.core.decision_dataset import DecisionDatasetGenerator
 from repro.core.sampling import AugmentedHistoricalSampler
 from repro.env.dataset import collect_historical_data
 from repro.env.hvac_env import make_environment
+from repro.env.reward import compute_reward, compute_rewards
+from repro.env.spaces import SetpointSpace
 from repro.env.vector_env import BatchedHVACEnvironment
 from repro.experiments.runner import ExperimentResult, ExperimentRunner
 from repro.experiments.scenarios import get_scenario
 from repro.nn.dynamics import ThermalDynamicsModel
+from repro.utils.config import ActionSpaceConfig, ComfortConfig, RewardConfig
 from repro.utils.rng import spawn_rngs
 
 
@@ -80,7 +85,8 @@ def test_batched_hvac_plant_matches_scalar_units():
 
 
 # --------------------------------------------------------------- environment
-def test_batched_environment_matches_serial_episodes():
+def _assert_batched_env_matches_serial(draw_actions):
+    """Step serial and batched copies with ``draw_actions(rng, B, n) -> (batch, serial)``."""
     spec = get_scenario("tucson/summer", days=1)
     seeds = [3, 14, 15]
     serial_envs = [spec.build_environment(seed=s) for s in seeds]
@@ -92,10 +98,10 @@ def test_batched_environment_matches_serial_episodes():
 
     rng = np.random.default_rng(2)
     for _ in range(serial_envs[0].num_steps):
-        actions = rng.integers(0, serial_envs[0].action_space.n, size=len(seeds))
+        actions, serial_actions = draw_actions(rng, len(seeds), serial_envs[0].action_space.n)
         batch_result = batched.step(actions)
         for i, env in enumerate(serial_envs):
-            serial_result = env.step(int(actions[i]))
+            serial_result = env.step(serial_actions[i])
             assert np.array_equal(serial_result.observation, batch_result.observations[i])
             assert serial_result.reward == batch_result.rewards[i]
             for key, value in serial_result.info.items():
@@ -104,6 +110,24 @@ def test_batched_environment_matches_serial_episodes():
                     batch_value = batch_value[i]
                 assert float(value) == float(batch_value), key
         assert batch_result.truncated == serial_result.truncated
+
+
+def test_batched_environment_matches_serial_episodes():
+    def draw(rng, batch, num_actions):
+        actions = rng.integers(0, num_actions, size=batch)
+        return actions, [int(a) for a in actions]
+
+    _assert_batched_env_matches_serial(draw)
+
+
+def test_batched_environment_matches_serial_setpoint_actions():
+    def draw(rng, batch, num_actions):
+        # Raw (B, 2) setpoints in half-degree steps from 13 to 31.5: off-range
+        # values, round-half-even ties and h > c all occur, and both paths clip.
+        actions = rng.integers(26, 64, size=(batch, 2)) / 2.0
+        return actions, [tuple(row) for row in actions]
+
+    _assert_batched_env_matches_serial(draw)
 
 
 def test_batched_environment_rejects_mismatched_episodes():
@@ -123,6 +147,104 @@ def test_batched_environment_rejects_mismatched_gain_parameters():
     zones[0] = dataclasses.replace(zones[0], equipment_gain_w=zones[0].equipment_gain_w + 1.0)
     with pytest.raises(ValueError, match="gain parameters"):
         BatchedHVACEnvironment([reference, modified])
+
+
+# ------------------------------------------------------------ shared kernels
+def _bits(values) -> np.ndarray:
+    """Float64 bit patterns, so equality below is bit for bit (signed zeros too)."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+ACTION_CONFIGS = [ActionSpaceConfig(), ActionSpaceConfig(16, 22, 20, 26)]
+HALF_INTEGERS = st.integers(5, 40).map(lambda v: v + 0.5)
+SETPOINTS = st.floats(0.0, 45.0, allow_nan=False) | HALF_INTEGERS
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.floats(10.0, 35.0, allow_nan=False) | st.sampled_from([20.0, 23.0, 23.5, 26.0]),
+            st.integers(15, 23),
+            st.integers(21, 30),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    season=st.sampled_from(["winter", "summer"]),
+)
+@example(rows=[(21.0, 18, 27, True), (30.0, 15, 30, False), (12.0, 23, 23, True)], season="winter")
+def test_vectorised_reward_equals_compute_reward(rows, season):
+    reward_config = RewardConfig(comfort=ComfortConfig.for_season(season))
+    actions = ActionSpaceConfig()
+    comfort = reward_config.comfort
+    zone, heating, cooling, occupied = (np.array(column) for column in zip(*rows))
+    reward, energy, violation = compute_rewards(
+        zone,
+        heating.astype(float),
+        cooling.astype(float),
+        reward_config.energy_weights(occupied),
+        (comfort.lower, comfort.upper),
+        actions.off_setpoints(),
+    )
+    reference = [
+        compute_reward(float(z), int(h), int(c), bool(o), reward_config, actions)
+        for z, h, c, o in rows
+    ]
+    assert np.array_equal(_bits(reward), _bits([r.reward for r in reference]))
+    assert np.array_equal(_bits(energy), _bits([r.energy_proxy for r in reference]))
+    assert np.array_equal(_bits(violation), _bits([r.comfort_violation for r in reference]))
+    # The planners pass one scalar w_e per call; that form agrees too.
+    for flag in (True, False):
+        rows_with = occupied == flag
+        scalar_w, _, _ = compute_rewards(
+            zone[rows_with],
+            heating[rows_with].astype(float),
+            cooling[rows_with].astype(float),
+            reward_config.energy_weight(flag),
+            (comfort.lower, comfort.upper),
+            actions.off_setpoints(),
+        )
+        assert np.array_equal(_bits(scalar_w), _bits(reward[rows_with]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(SETPOINTS, SETPOINTS), min_size=1, max_size=40),
+    config=st.sampled_from(ACTION_CONFIGS),
+)
+@example(pairs=[(20.5, 21.5), (22.5, 21.5), (25.0, 22.0), (23.5, 20.5)], config=ACTION_CONFIGS[0])
+def test_clip_batch_equals_scalar_clip(pairs, config):
+    heating, cooling = (np.array(column, dtype=float) for column in zip(*pairs))
+    batch_h, batch_c = config.clip_batch(heating, cooling)
+    reference = np.array([config.clip(h, c) for h, c in pairs], dtype=float)
+    assert np.array_equal(batch_h, reference[:, 0])
+    assert np.array_equal(batch_c, reference[:, 1])
+
+
+def test_clip_batch_rejects_non_finite_setpoints():
+    with pytest.raises(ValueError):
+        ActionSpaceConfig().clip_batch(np.array([20.0, np.nan]), np.array([25.0, 25.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    config=st.sampled_from(ACTION_CONFIGS),
+    picks=st.lists(st.integers(0, 10_000), min_size=1, max_size=64),
+    off_table=st.tuples(st.integers(0, 60), st.integers(0, 60)),
+)
+def test_pair_lookup_equals_to_index_and_is_strict(config, picks, off_table):
+    space = SetpointSpace(config)
+    table = np.array(space.pairs)
+    chosen = table[np.array(picks) % space.n]
+    expected = [space.to_index(int(h), int(c)) for h, c in chosen]
+    assert space.to_indices(chosen[:, 0], chosen[:, 1]).tolist() == expected
+    assert space.to_indices(table[:, 0], table[:, 1]).tolist() == list(range(space.n))
+    assume(tuple(off_table) not in set(space.pairs))
+    mixed = np.vstack([chosen, off_table])
+    with pytest.raises(ValueError):
+        space.to_indices(mixed[:, 0], mixed[:, 1])
 
 
 # ------------------------------------------------------------------- planner

@@ -244,7 +244,8 @@ class TestDriftDetector:
             assert np.array_equal(one.sample_rows(100), two.sample_rows(100))
         assert len(one.sample_rows(4)) == 4  # clamped to the fleet size
 
-    def test_mpc_teacher_is_deterministic_and_in_table(self):
+    def mpc_optimizer(self):
+        """A 16-sample, H=3 RS planner over a briefly trained dynamics model."""
         from repro.agents.random_shooting import RandomShootingOptimizer
         from repro.agents.rule_based import RuleBasedAgent
         from repro.env.dataset import collect_historical_data
@@ -255,19 +256,20 @@ class TestDriftDetector:
         )
         model = ThermalDynamicsModel(hidden_sizes=(8,), seed=2)
         model.fit(data, epochs=2, seed=3)
+        return RandomShootingOptimizer(
+            dynamics_model=model,
+            action_space=self.env.action_space,
+            reward_config=self.env.config.reward,
+            action_config=self.env.config.actions,
+            num_samples=16,
+            horizon=3,
+            seed=4,
+        )
 
+    def test_mpc_teacher_is_deterministic_and_in_table(self):
         def make_teacher():
-            optimizer = RandomShootingOptimizer(
-                dynamics_model=model,
-                action_space=self.env.action_space,
-                reward_config=self.env.config.reward,
-                action_config=self.env.config.actions,
-                num_samples=16,
-                horizon=3,
-                seed=4,
-            )
             return MPCTeacher(
-                optimizer,
+                self.mpc_optimizer(),
                 self.env.action_space.pairs,
                 monte_carlo_runs=2,
                 planning_horizon=3,
@@ -279,6 +281,24 @@ class TestDriftDetector:
         assert np.array_equal(labels, make_teacher().label_pairs(inputs))
         table = {tuple(p) for p in self.env.action_space.pairs}
         assert all(tuple(pair) in table for pair in labels)
+
+    def test_mpc_teacher_labels_are_the_serial_distillation_vote(self):
+        from repro.core.decision_dataset import DecisionDatasetGenerator
+        from repro.utils.rng import ensure_rng
+
+        pairs = self.env.action_space.pairs
+        teacher = MPCTeacher(
+            self.mpc_optimizer(), pairs, monte_carlo_runs=2, planning_horizon=3, seed=5
+        )
+        generator = DecisionDatasetGenerator(
+            self.mpc_optimizer(), None, pairs, monte_carlo_runs=2, planning_horizon=3
+        )
+        serial_rng = ensure_rng(5)
+        table = np.asarray(pairs)
+        for call in range(2):  # the teacher's generator carries over between calls
+            inputs = self.observations(10, seed=call)
+            serial = [generator.distill_decision(row, rng=serial_rng) for row in inputs]
+            assert np.array_equal(teacher.label_pairs(inputs), table[serial])
 
     def test_validation(self):
         teacher = TreePolicyTeacher(self.incumbent)
