@@ -13,11 +13,13 @@ import numpy as np
 
 from repro.bench.floors import Floor, Gate, at_size, bound, holds
 from repro.experiments.drivers import (
+    OBSERVATION_RANGES,
     extract_tiny,
     mixed_traffic,
     require_min,
     stream_columnar,
     synthetic_observations,
+    synthetic_policy,
 )
 
 
@@ -121,6 +123,86 @@ def _mixed_store(args: argparse.Namespace, policies: int):
         yield store, policy_ids, traffic
 
 
+#: Shape of the wide-mix row of ``serve-columnar``: arena policies, rows per
+#: batch and distinct batches (each row draws its policy uniformly, so a
+#: batch touches ~225 distinct policies).
+WIDE_POLICIES = 1000
+WIDE_ROWS = 256
+WIDE_BATCHES = 32
+WIDE_REPEATS = 5
+
+
+def _per_policy_loop(arena, batch) -> np.ndarray:
+    """The action indices a loop of one ``predict_batch`` per policy gives."""
+    codes, unique_ids = batch.grouping()
+    actions = np.empty(len(batch), dtype=np.int64)
+    for group, policy_id in enumerate(unique_ids):
+        rows = np.flatnonzero(codes == group)
+        actions[rows] = arena.get(str(policy_id)).predict_batch(batch.observations[rows])
+    return actions
+
+
+def _wide_mix(seed: int) -> Dict:
+    """Arena walk vs a per-policy ``predict_batch`` loop on wide-mix batches.
+
+    Packs :data:`WIDE_POLICIES` synthetic trees into an arena and serves
+    :data:`WIDE_BATCHES` batches of :data:`WIDE_ROWS` uniformly mixed rows
+    through ``PolicyServer.serve_columnar`` (one vectorised walk over the
+    arena) and through the per-policy loop it replaced.  Each side is timed
+    as the median of :data:`WIDE_REPEATS` passes over fresh batch objects,
+    so no grouping cache carries over.
+    """
+    from repro.data import PolicyRequestBatch
+    from repro.serving import PolicyServer
+    from repro.store import PolicyStore, write_arena
+
+    rng = np.random.default_rng(seed)
+    policies = [(f"wide/{i:05d}", synthetic_policy(rng).compiled()) for i in range(WIDE_POLICIES)]
+    names = np.array([name for name, _ in policies])
+    pool = [
+        (names[rng.integers(len(names), size=WIDE_ROWS)],
+         synthetic_observations(rng, WIDE_ROWS, len(OBSERVATION_RANGES)))
+        for _ in range(WIDE_BATCHES)
+    ]
+
+    def batches():
+        return [PolicyRequestBatch(policy_ids=ids, observations=obs) for ids, obs in pool]
+
+    with tempfile.TemporaryDirectory(prefix="repro-bench-wide-") as scratch:
+        store = PolicyStore(scratch)
+        write_arena(store.arena_path, policies)
+        server = PolicyServer(store=store, arena=True)
+        arena = server.arena
+        walked = [server.serve_columnar(batch).action_indices for batch in batches()]
+        looped = [_per_policy_loop(arena, batch) for batch in batches()]
+        walk_passes: List[float] = []
+        loop_passes: List[float] = []
+        for _ in range(WIDE_REPEATS):
+            fresh = batches()
+            start = time.perf_counter()
+            for batch in fresh:
+                server.serve_columnar(batch)
+            walk_passes.append(time.perf_counter() - start)
+            fresh = batches()
+            start = time.perf_counter()
+            for batch in fresh:
+                _per_policy_loop(arena, batch)
+            loop_passes.append(time.perf_counter() - start)
+        server.close()
+    walk_ms = float(np.median(walk_passes)) / WIDE_BATCHES * 1e3
+    loop_ms = float(np.median(loop_passes)) / WIDE_BATCHES * 1e3
+    return {
+        "policies": WIDE_POLICIES,
+        "rows_per_batch": WIDE_ROWS,
+        "batches": WIDE_BATCHES,
+        "policies_per_batch": float(np.mean([len(np.unique(ids)) for ids, _ in pool])),
+        "actions_identical": all(map(np.array_equal, walked, looped)),
+        "walk_batch_ms": walk_ms,
+        "per_policy_batch_ms": loop_ms,
+        "speedup": loop_ms / max(walk_ms, 1e-12),
+    }
+
+
 def run_serve_columnar(args: argparse.Namespace) -> Dict:
     """Columnar vs legacy front-door throughput on a mixed-building stream.
 
@@ -129,7 +211,10 @@ def run_serve_columnar(args: argparse.Namespace) -> Dict:
     request stream through the legacy object API (``serve``) and the
     columnar API (``serve_columnar``) and checks the actions match
     exactly.  This isolates the object-conversion tax the columnar data
-    plane removes: the tree kernel underneath is identical.
+    plane removes: the tree kernel underneath is identical.  The
+    ``wide_mix`` row (:func:`_wide_mix`) then measures the arena walk
+    against one ``predict_batch`` per policy on batches that mix hundreds
+    of arena policies.
     """
     from repro.serving import PolicyRequest, PolicyServer
 
@@ -162,16 +247,25 @@ def run_serve_columnar(args: argparse.Namespace) -> Dict:
         "legacy_requests_per_second": args.rows / max(legacy_seconds, 1e-12),
         "columnar_requests_per_second": args.rows / max(columnar_seconds, 1e-12),
         "speedup": legacy_seconds / max(columnar_seconds, 1e-12),
+        "wide_mix": _wide_mix(args.seed),
     }
 
 
 def serve_columnar_floors(result: Dict) -> List[Floor]:
-    """Exact columnar actions; the speedup over objects at CI's 50k rows."""
+    """Exact columnar and wide-mix actions; the object speedup at CI's 50k rows."""
     return [
         holds(result, "actions_identical", "columnar responses diverged from the object path"),
         # Dev box: ~3.3x and ~1M req/s; the floor only catches the columnar
         # path collapsing back to per-request object overhead.
         bound(result, "speedup", ">=", 1.5, at_size(result, "rows", 50000)),
+        holds(
+            result, "wide_mix.actions_identical",
+            "the arena walk diverged from per-policy predict_batch",
+        ),
+        # 2-vCPU dev box: ~20x; the floor catches the walk falling back to a
+        # python call per policy.  The row's shape does not follow --rows, so
+        # the floor applies at every run size.
+        bound(result, "wide_mix.speedup", ">=", 5.0),
     ]
 
 

@@ -13,56 +13,22 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.bench.floors import Floor, at_size, bound, holds
-from repro.experiments.drivers import OBSERVATION_RANGES, require_min, synthetic_observations
+from repro.experiments.drivers import (
+    OBSERVATION_RANGES,
+    require_min,
+    synthetic_observations,
+    synthetic_policy,
+)
+
 
 def _synthetic_store_policies(store, count: int, seed: int) -> List[str]:
-    """Fill ``store`` with ``count`` small random tree policies; returns names.
-
-    Trees are built node-by-node (no CART fit — the bench measures the store,
-    not extraction) with thresholds drawn from the Table-1 observation ranges
-    so requests actually route through both branches.  All policies share the
-    canonical feature list, matching a real fleet where every building speaks
-    the same observation schema.
-    """
-    from repro.core.tree_policy import TreePolicy
-    from repro.data import OBSERVATION_FEATURES
-    from repro.dtree.cart import DecisionTreeClassifier
-    from repro.dtree.node import TreeNode
+    """Fill ``store`` with ``count`` :func:`synthetic_policy` trees; returns names."""
     from repro.store import PolicyKey
 
     rng = np.random.default_rng(seed)
-    n_features = len(OBSERVATION_RANGES)
-    action_pairs = [(15 + i, 22 + i) for i in range(8)]
     names: List[str] = []
     for index in range(count):
-        next_id = iter(range(1 << 20))
-
-        def grow(depth: int) -> TreeNode:
-            if depth == 0 or rng.random() < 0.2:
-                return TreeNode(
-                    node_id=next(next_id),
-                    prediction=int(rng.integers(len(action_pairs))),
-                )
-            feature = int(rng.integers(n_features))
-            low, high = OBSERVATION_RANGES[feature]
-            node = TreeNode(
-                node_id=next(next_id),
-                feature_index=feature,
-                threshold=float(rng.uniform(low, high)),
-                prediction=0,
-            )
-            node.left = grow(depth - 1)
-            node.right = grow(depth - 1)
-            return node
-
-        depth = int(rng.integers(3, 6))
-        tree = DecisionTreeClassifier(max_depth=depth)
-        tree.n_features = n_features
-        tree.root = grow(depth)
-        tree.classes_ = np.arange(len(action_pairs))
-        policy = TreePolicy(
-            tree, action_pairs=action_pairs, feature_names=list(OBSERVATION_FEATURES)
-        )
+        policy = synthetic_policy(rng)
         key = PolicyKey(
             city="fleet",
             season="summer",

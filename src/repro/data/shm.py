@@ -7,12 +7,12 @@ serialise, copy and deserialise every byte per hop — exactly the object tax th
 columnar data plane removed in-process.  This module keeps the arrays out of
 the queues entirely:
 
-* :class:`SharedMemoryColumnarBuffer` — a ring allocator over one
+* :class:`SharedMemoryColumnarBuffer` — a one-batch ring over one
   ``multiprocessing.shared_memory.SharedMemory`` segment.  ``write_batch``
-  places each column's bytes at an aligned offset in the ring and returns a
-  tiny :class:`ShmBatchHeader`; ``read_batch`` maps ``numpy`` views directly
-  onto the segment at those offsets (no copy, no pickle) and rebuilds the
-  batch around them.
+  lays each column's bytes out at aligned offsets from the start of the
+  segment and returns a tiny :class:`ShmBatchHeader`; ``read_batch`` maps
+  ``numpy`` views directly onto the segment at those offsets (no copy, no
+  pickle) and rebuilds the batch around them.
 * :class:`ShmBatchHeader` / :class:`ColumnSegment` — the only things that ever
   cross a queue: batch type name, column dtypes/shapes/offsets and scalar
   metadata.  :meth:`ShmBatchHeader.assert_zero_copy` is the transport's
@@ -32,8 +32,10 @@ still serving from.
 
 The ring is deliberately single-producer: each direction of each shard gets
 its own buffer, and the sharded server keeps at most one batch in flight per
-ring, so a bump allocator that wraps at the end of the segment can never
-overwrite bytes a reader still needs.
+ring.  So every batch is written at offset 0: the previous batch has always
+been consumed before its bytes are reused, and the pages a ring ever touches
+(its resident shared memory) are bounded by its largest batch, not by its
+capacity.
 """
 
 from __future__ import annotations
@@ -58,8 +60,10 @@ from repro.data.schema import (
 #: and a multiple of every dtype itemsize the schema uses).
 ALIGNMENT = 64
 
-#: Default ring capacity (bytes).  Sized for ~8k-row mixed request batches
-#: with room to spare; raise it (``ring_capacity=``) for bigger batches.
+#: Default ring capacity (bytes): the largest batch one ring can carry, sized
+#: for ~8k-row mixed request batches with room to spare; raise it
+#: (``ring_capacity=``) for bigger batches.  Only the pages the largest batch
+#: actually written spans become resident — every batch starts at offset 0.
 DEFAULT_CAPACITY = 32 * 1024 * 1024
 
 #: The batch types the transport can carry, by class name — the header stores
@@ -175,11 +179,10 @@ class SharedMemoryColumnarBuffer:
     """A single-producer ring of columnar batches over one shm segment.
 
     One process creates the segment (:meth:`create`) and writes batches into
-    it; peers attach by name (:meth:`attach`) and map views out of it.  The
-    allocator is a bump pointer that wraps to the start of the segment when a
-    batch would run past the end — safe because each ring carries at most one
-    in-flight batch (the sharded server's invariant), so the previous batch
-    has always been consumed before its bytes are reused.
+    it; peers attach by name (:meth:`attach`) and map views out of it.  Every
+    batch is laid out from offset 0 — safe because each ring carries at most
+    one in-flight batch (the sharded server's invariant), so the previous
+    batch has always been consumed before its bytes are reused.
     """
 
     def __init__(
@@ -190,7 +193,6 @@ class SharedMemoryColumnarBuffer:
     ):
         self._shm = shm
         self._owner = owner
-        self._head = 0
         self._closed = False
         self._generation = int(generation)
 
@@ -290,26 +292,13 @@ class SharedMemoryColumnarBuffer:
         if self._owner:
             self.unlink()
 
-    # ------------------------------------------------------------ allocation
-    def _allocate(self, nbytes: int) -> int:
-        """Reserve ``nbytes`` at an aligned offset, wrapping at the end."""
-        if nbytes > self.capacity:
-            raise ShmTransportError(
-                f"Batch needs {nbytes} bytes but the ring holds {self.capacity}; "
-                "raise ring_capacity or serve smaller batches"
-            )
-        offset = _align(self._head)
-        if offset + nbytes > self.capacity:
-            offset = 0  # wrap: the single in-flight batch has been consumed
-        self._head = offset + nbytes
-        return offset
-
     # --------------------------------------------------------------- batches
     def write_batch(self, batch: ColumnarBatch) -> ShmBatchHeader:
         """Park a batch's columns in the ring; return its queue-sized header.
 
         Each present column is copied once into the segment at an aligned
-        offset (the write *is* the hand-off — nothing is serialised), and the
+        offset, the first at offset 0, over the previous batch (the write
+        *is* the hand-off — nothing is serialised), and the
         returned :class:`ShmBatchHeader` passes :meth:`~ShmBatchHeader.
         assert_zero_copy` by construction.
         """
@@ -317,8 +306,13 @@ class SharedMemoryColumnarBuffer:
         if type_name not in BATCH_TYPES:
             raise ShmTransportError(f"Cannot transport {type_name!r} batches")
         columns = batch.columns()
-        total = sum(_align(array.nbytes) for array in columns.values()) + ALIGNMENT
-        offset = self._allocate(total)
+        total = sum(_align(array.nbytes) for array in columns.values())
+        if total > self.capacity:
+            raise ShmTransportError(
+                f"Batch needs {total} bytes but the ring holds {self.capacity}; "
+                "raise ring_capacity or serve smaller batches"
+            )
+        offset = 0  # one batch in flight: the previous one has been consumed
         segments = []
         for name, array in columns.items():
             view = np.ndarray(array.shape, dtype=array.dtype, buffer=self._shm.buf, offset=offset)

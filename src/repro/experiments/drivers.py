@@ -78,6 +78,45 @@ def synthetic_observations(rng, rows: int, dim: int) -> np.ndarray:
     return rng.uniform(low, high, size=(rows, dim))
 
 
+def synthetic_policy(rng):
+    """A random tree policy of depth 3-5 over the Table-1 observation schema.
+
+    Built node by node (no CART fit: the serving and store benches measure
+    serving, not extraction), with thresholds drawn from
+    :data:`OBSERVATION_RANGES` so requests route through both branches, the
+    canonical feature names and an 8-pair setpoint table.
+    """
+    from repro.core.tree_policy import TreePolicy
+    from repro.data import OBSERVATION_FEATURES
+    from repro.dtree.cart import DecisionTreeClassifier
+    from repro.dtree.node import TreeNode
+
+    action_pairs = [(15 + i, 22 + i) for i in range(8)]
+    next_id = iter(range(1 << 20))
+
+    def grow(depth: int) -> TreeNode:
+        if depth == 0 or rng.random() < 0.2:
+            return TreeNode(node_id=next(next_id), prediction=int(rng.integers(len(action_pairs))))
+        feature = int(rng.integers(len(OBSERVATION_RANGES)))
+        low, high = OBSERVATION_RANGES[feature]
+        node = TreeNode(
+            node_id=next(next_id),
+            feature_index=feature,
+            threshold=float(rng.uniform(low, high)),
+            prediction=0,
+        )
+        node.left = grow(depth - 1)
+        node.right = grow(depth - 1)
+        return node
+
+    depth = int(rng.integers(3, 6))
+    tree = DecisionTreeClassifier(max_depth=depth)
+    tree.n_features = len(OBSERVATION_RANGES)
+    tree.root = grow(depth)
+    tree.classes_ = np.arange(len(action_pairs))
+    return TreePolicy(tree, action_pairs=action_pairs, feature_names=list(OBSERVATION_FEATURES))
+
+
 def mixed_traffic(policy_ids: Sequence[str], rows: int, dim: int, seed: int):
     """A seeded ``PolicyRequestBatch`` whose rows cycle over ``policy_ids``.
 

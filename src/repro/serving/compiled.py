@@ -11,8 +11,10 @@ depth`` python comparisons.
 :class:`CompiledTreeForest` extends the same kernel to heterogeneous batches
 — B rows routed through B *different* trees (one per building/episode) in a
 single traversal over the concatenated node arrays — which is what lets the
-batched experiment backend and the :class:`~repro.serving.server.PolicyServer`
-keep every request in numpy.
+batched experiment backend keep every episode in numpy.  The packed arena
+(:meth:`repro.store.PolicyArena.predict`) runs the same kernel over all of
+its policies at once, which is how the
+:class:`~repro.serving.server.PolicyServer` answers a mixed batch.
 
 Both are verified action-for-action against the recursive traversal in
 ``tests/test_serving.py``; the decision semantics are identical
@@ -65,8 +67,15 @@ def _descend(
     inputs: NDArray[Any],
     nodes: NDArray[Any],
     max_depth: int,
+    base: Optional[NDArray[Any]] = None,
 ) -> NDArray[Any]:
     """Route every row of ``inputs`` from its start node down to a leaf.
+
+    ``nodes`` holds each row's start node (it is not modified).  Child
+    pointers are relative to a tree's first node: ``base[row]`` is the
+    offset of that row's tree inside the concatenated arrays, and ``None``
+    means every row walks one tree stored at offset 0.  One kernel thus
+    serves a single tree, a forest and a whole packed arena.
 
     One iteration advances the still-internal rows one level.  The working
     set shrinks as rows reach their leaves, so a level only pays for the rows
@@ -74,7 +83,7 @@ def _descend(
     the maximum depth, which is where the bulk of the speedup over a fixed
     full-width sweep comes from.
     """
-    nodes = nodes.copy()
+    nodes = np.array(nodes, dtype=np.int64)
     alive = np.flatnonzero(feature[nodes] != LEAF)
     for _ in range(max_depth):
         if alive.size == 0:
@@ -82,6 +91,8 @@ def _descend(
         current = nodes[alive]
         go_left = inputs[alive, feature[current]] <= threshold[current]
         descended = np.where(go_left, left[current], right[current])
+        if base is not None:
+            descended = descended + base[alive]
         nodes[alive] = descended
         alive = alive[feature[descended] != LEAF]
     return nodes
@@ -117,15 +128,22 @@ class CompiledTreePolicy:
     # ------------------------------------------------------------- building
     @classmethod
     def from_policy(cls, policy: TreePolicy) -> "CompiledTreePolicy":
-        """Flatten a (fitted) tree policy via pre-order traversal."""
+        """Flatten a (fitted) tree policy via pre-order traversal.
+
+        ``depth`` is the height of the flattened structure itself, not the
+        nodes' recorded ``depth`` attributes: a tree assembled by hand leaves
+        those at 0, and a walk capped by them would stop at internal nodes.
+        """
         feature: List[int] = []
         threshold: List[float] = []
         left: List[int] = []
         right: List[int] = []
         leaf_action: List[int] = []
+        height = [0]
 
-        def _flatten(node) -> int:
+        def _flatten(node, level: int = 0) -> int:
             index = len(feature)
+            height[0] = max(height[0], level)
             if node.is_leaf:
                 feature.append(LEAF)
                 threshold.append(0.0)
@@ -138,8 +156,8 @@ class CompiledTreePolicy:
                 left.append(0)  # patched below once the subtree is laid out
                 right.append(0)
                 leaf_action.append(LEAF)
-                left[index] = _flatten(node.left)
-                right[index] = _flatten(node.right)
+                left[index] = _flatten(node.left, level + 1)
+                right[index] = _flatten(node.right, level + 1)
             return index
 
         _flatten(policy.tree.root)
@@ -153,7 +171,7 @@ class CompiledTreePolicy:
                 [list(pair) for pair in policy.action_pairs], dtype=np.int64
             ),
             n_features=policy.input_dim,
-            depth=max(policy.depth, 1),
+            depth=max(height[0], 1),
             feature_names=policy.feature_names,
             city=policy.city,
         )
@@ -269,8 +287,9 @@ class CompiledTreePolicy:
 class CompiledTreeForest:
     """Several compiled trees traversed together, one tree per input row.
 
-    The node arrays of all trees are concatenated and each row starts at its
-    own tree's root offset, so a batch of B episodes — each controlled by a
+    The node arrays of all trees are concatenated unchanged (child pointers
+    stay tree-local) and each row starts at, and is offset by, its own
+    tree's root, so a batch of B episodes — each controlled by a
     *different* verified policy — still resolves in ``max_depth`` vectorised
     steps.
     """
@@ -285,18 +304,10 @@ class CompiledTreeForest:
         self.n_features = policies[0].n_features
         offsets = np.cumsum([0] + [p.node_count for p in policies[:-1]])
         self.roots = offsets.astype(np.int64)
-
-        def _shift(arrays: List[NDArray[Any]]) -> NDArray[Any]:
-            shifted = [
-                np.where(arr == LEAF, LEAF, arr + offset)
-                for arr, offset in zip(arrays, offsets)
-            ]
-            return np.concatenate(shifted)
-
         self.feature = np.concatenate([p.feature for p in policies])
         self.threshold = np.concatenate([p.threshold for p in policies])
-        self.left = _shift([p.left for p in policies])
-        self.right = _shift([p.right for p in policies])
+        self.left = np.concatenate([p.left for p in policies])
+        self.right = np.concatenate([p.right for p in policies])
         self.leaf_action = np.concatenate([p.leaf_action for p in policies])
         self.depth = max(p.depth for p in policies)
 
@@ -324,7 +335,8 @@ class CompiledTreeForest:
             self.left,
             self.right,
             inputs,
-            self.roots.copy(),
+            self.roots,
             self.depth,
+            base=self.roots,
         )
         return self.leaf_action[nodes]

@@ -8,14 +8,17 @@ entry, and answers request batches that may mix any number of buildings.
 The native endpoint is columnar: :meth:`PolicyServer.serve_columnar` takes a
 :class:`~repro.data.PolicyRequestBatch` (a building-id column plus a
 ``(B, F)`` observation matrix) and returns a
-:class:`~repro.data.PolicyResponseBatch` — arrays in, arrays out.  Rows are
-routed to their policies with one stable ``argsort`` over the integer-coded
-id column, each distinct tree runs one vectorised ``predict_batch`` over a
-contiguous slice of the sorted observations (zero-copy), and results return
-to request order with an inverse-permutation scatter.  No per-request python
-objects exist anywhere on this path; the legacy object API
-(:meth:`PolicyServer.serve` over :class:`PolicyRequest`) is a thin adapter
-on top of it.
+:class:`~repro.data.PolicyResponseBatch` — arrays in, arrays out.  Every row
+whose policy is packed in the arena is answered by one vectorised walk over
+the whole arena (:meth:`~repro.store.PolicyArena.predict`), whatever the
+number of distinct policies in the batch; the ids map to arena rows with one
+``searchsorted`` (:meth:`~repro.store.PolicyArena.rows_of`).  Registered and
+JSON-store policies are grouped with one stable ``argsort`` over the
+integer-coded id column, each runs one ``predict_batch`` over a contiguous
+slice of the sorted observations, and their results return to request order
+with an inverse-permutation scatter.  No per-request python objects exist
+anywhere on this path; the legacy object API (:meth:`PolicyServer.serve`
+over :class:`PolicyRequest`) is a thin adapter on top of it.
 
 Transport (HTTP, MQTT, a BMS bridge) is deliberately out of scope: the
 related SCADA repos show that layer is deployment-specific, while the
@@ -28,9 +31,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Union
+from typing import Any, Dict, List, Sequence, Union
 
 import numpy as np
+from numpy.typing import NDArray
 
 from repro.core.tree_policy import TreePolicy
 from repro.data import PolicyRequestBatch, PolicyResponseBatch
@@ -207,13 +211,17 @@ class PolicyServer:
     def serve_columnar(self, batch: PolicyRequestBatch) -> PolicyResponseBatch:
         """Answer one columnar batch of (possibly mixed-building) requests.
 
-        The whole path is array-native: rows are routed to their policies by
-        a stable ``argsort`` over the batch's integer policy codes, each
-        distinct tree sees one contiguous slice of the sorted observation
-        matrix (``predict_batch`` consumes it zero-copy), and the per-policy
-        results are scattered back to request order through the inverse
-        permutation.  A single-policy batch — the overwhelmingly common case
-        for a per-building feed — skips the permutation entirely.
+        The whole path is array-native.  Resolution order is that of
+        :meth:`resolve`.  The rows of every arena-resolved policy descend
+        together in one walk over the arena's concatenated arrays (one
+        ``arena_hits`` per distinct arena policy, as a per-policy
+        :meth:`resolve` would count).  The rows of registered and JSON-store
+        policies are grouped by a stable ``argsort`` over the batch's integer
+        policy codes, each such tree sees one contiguous slice of the sorted
+        observation matrix (``predict_batch`` consumes it zero-copy), and the
+        results are scattered back to request order.  A single-policy batch —
+        the overwhelmingly common case for a per-building feed — resolves its
+        policy and calls its ``predict_batch`` directly.
         """
         rows = len(batch)
         if rows == 0:
@@ -234,27 +242,26 @@ class PolicyServer:
             pairs = compiled.action_pairs[actions]
             tally[policy_id] = tally.get(policy_id, 0) + rows
         else:
-            order = np.argsort(codes, kind="stable")
-            sorted_observations = observations[order]
-            # Group boundaries in the sorted batch: one contiguous slice per
-            # distinct policy (codes index unique_ids, which is sorted).
-            starts = np.searchsorted(codes[order], np.arange(len(unique_ids)))
-            stops = np.append(starts[1:], rows)
-            sorted_actions = np.empty(rows, dtype=np.int64)
-            sorted_pairs = np.empty((rows, 2), dtype=np.int64)
-            for group, policy_id in enumerate(unique_ids):
-                lo, hi = int(starts[group]), int(stops[group])
-                compiled = self.resolve(str(policy_id))
-                group_actions = compiled.predict_batch(sorted_observations[lo:hi])
-                sorted_actions[lo:hi] = group_actions
-                sorted_pairs[lo:hi] = compiled.action_pairs[group_actions]
-                tally[str(policy_id)] = tally.get(str(policy_id), 0) + (hi - lo)
-            # Inverse-permutation scatter restores request order without any
-            # intermediate per-policy python lists.
             actions = np.empty(rows, dtype=np.int64)
             pairs = np.empty((rows, 2), dtype=np.int64)
-            actions[order] = sorted_actions
-            pairs[order] = sorted_pairs
+            policy_rows = self._arena_rows(unique_ids)
+            in_arena = policy_rows >= 0
+            row_in_arena = in_arena[codes]
+            walked = np.flatnonzero(row_in_arena)
+            if walked.size < rows:
+                self._serve_groups(
+                    np.flatnonzero(~row_in_arena), codes, unique_ids, observations,
+                    actions, pairs,
+                )
+            if walked.size:
+                assert self.arena is not None  # only an arena yields rows >= 0
+                actions[walked], pairs[walked] = self.arena.predict(
+                    policy_rows[codes[walked]], observations[walked]
+                )
+            self.stats.arena_hits += int(np.count_nonzero(in_arena))
+            counts = np.bincount(codes, minlength=len(unique_ids))
+            for policy_id, count in zip(unique_ids.tolist(), counts.tolist()):
+                tally[policy_id] = tally.get(policy_id, 0) + count
 
         self.stats.requests += rows
         self.stats.batches += 1
@@ -264,6 +271,50 @@ class PolicyServer:
             heating_setpoints=pairs[:, 0],
             cooling_setpoints=pairs[:, 1],
         )
+
+    def _arena_rows(self, unique_ids: NDArray[Any]) -> NDArray[Any]:
+        """Arena row per distinct id, ``-1`` where another tier resolves it.
+
+        Registered ids shadow arena ids, exactly as in :meth:`resolve`.
+        """
+        if self.arena is None:
+            return np.full(len(unique_ids), -1, dtype=np.int64)
+        rows = self.arena.rows_of(unique_ids)
+        if self._registered:
+            rows[np.isin(unique_ids, list(self._registered))] = -1
+        return rows
+
+    def _serve_groups(
+        self,
+        selected: NDArray[Any],
+        codes: NDArray[Any],
+        unique_ids: NDArray[Any],
+        observations: NDArray[Any],
+        actions: NDArray[Any],
+        pairs: NDArray[Any],
+    ) -> None:
+        """Serve the ``selected`` rows one resolved policy at a time.
+
+        The path of registered and JSON-store policies: a stable ``argsort``
+        puts each policy's rows in one contiguous slice, each policy runs one
+        ``predict_batch`` over it, and the results are scattered back into
+        ``actions``/``pairs`` at the rows' request positions.
+        """
+        order = selected[np.argsort(codes[selected], kind="stable")]
+        sorted_codes = codes[order]
+        groups = np.unique(sorted_codes)
+        starts = np.searchsorted(sorted_codes, groups)
+        stops = np.append(starts[1:], len(order))
+        sorted_observations = observations[order]
+        sorted_actions = np.empty(len(order), dtype=np.int64)
+        sorted_pairs = np.empty((len(order), 2), dtype=np.int64)
+        for group, lo, hi in zip(groups.tolist(), starts.tolist(), stops.tolist()):
+            compiled = self.resolve(str(unique_ids[group]))
+            group_actions = compiled.predict_batch(sorted_observations[lo:hi])
+            sorted_actions[lo:hi] = group_actions
+            sorted_pairs[lo:hi] = compiled.action_pairs[group_actions]
+        actions[order] = sorted_actions
+        pairs[order] = sorted_pairs
 
     def serve(self, requests: Sequence[PolicyRequest]) -> List[PolicyResponse]:
         """Answer one batch of legacy per-request objects.

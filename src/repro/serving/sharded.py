@@ -97,6 +97,7 @@ __all__ = [
     "FleetStats",
     "ShardedPolicyServer",
     "ShardedServingError",
+    "arena_shard_table",
     "shard_for_policy",
     "shard_rows",
 ]
@@ -112,20 +113,50 @@ def shard_for_policy(policy_id: str, num_shards: int) -> int:
     return zlib.crc32(str(policy_id).encode("utf-8")) % int(num_shards)
 
 
-def shard_rows(batch: PolicyRequestBatch, num_shards: int) -> NDArray[Any]:
+def arena_shard_table(arena: PolicyArena, num_shards: int) -> NDArray[Any]:
+    """:func:`shard_for_policy` of every arena row, in row order (int64).
+
+    Computed once per fleet (bounded by the arena's size), so routing a batch
+    of arena ids is a gather rather than one CRC-32 per id per batch.
+    """
+    return np.fromiter(
+        (shard_for_policy(policy_id, num_shards) for policy_id in arena.policy_ids()),
+        dtype=np.int64,
+        count=arena.policy_count,
+    )
+
+
+def shard_rows(
+    batch: PolicyRequestBatch,
+    num_shards: int,
+    arena: Optional[PolicyArena] = None,
+    table: Optional[NDArray[Any]] = None,
+) -> NDArray[Any]:
     """Per-row shard assignment for a request batch, shape ``(B,)``.
 
-    Hashes only the batch's *unique* policy ids (via the cached integer
-    grouping codes), then gathers — O(unique policies) hash calls regardless
-    of row count.
+    Works on the batch's *unique* policy ids (via the cached integer
+    grouping codes), then gathers.  With an ``arena``, ids packed in it take
+    their shard from ``table`` (:func:`arena_shard_table`, built here when
+    omitted) through one :meth:`~repro.store.PolicyArena.rows_of` lookup;
+    only the remaining ids are hashed.  Either way the result equals
+    :func:`shard_for_policy` of every row.
     """
     codes, unique_ids = batch.grouping()
-    shard_by_policy = np.fromiter(
-        (shard_for_policy(str(policy_id), num_shards) for policy_id in unique_ids),
+    shards = np.empty(len(unique_ids), dtype=np.int64)
+    hashed = np.arange(len(unique_ids))
+    if arena is not None:
+        if table is None:
+            table = arena_shard_table(arena, num_shards)
+        rows = arena.rows_of(unique_ids)
+        packed = rows >= 0
+        shards[packed] = table[rows[packed]]
+        hashed = np.flatnonzero(~packed)
+    shards[hashed] = np.fromiter(
+        (shard_for_policy(str(unique_ids[group]), num_shards) for group in hashed),
         dtype=np.int64,
-        count=len(unique_ids),
+        count=len(hashed),
     )
-    return shard_by_policy[codes]
+    return shards[codes]
 
 
 @dataclass
@@ -293,6 +324,8 @@ class ShardedPolicyServer:
         self._fallback_server: Optional[PolicyServer] = None
         self._fleet_stats = FleetStats()
         self._closed = False
+        #: Shard of every arena row (multi-shard fleets with an arena only).
+        self._shard_table: Optional[NDArray[Any]] = None
         if self.num_shards == 1:
             # In-process fallback: identical API, zero process/ring tax.
             self._local = PolicyServer(
@@ -308,6 +341,8 @@ class ShardedPolicyServer:
         # so the compiled pages are shared across every shard process.
         self._owns_arena = not isinstance(arena, PolicyArena)
         self._arena, self.arena_error = resolve_arena(arena, self._store)
+        if self._arena is not None:
+            self._shard_table = arena_shard_table(self._arena, self.num_shards)
         arena_spec: Union[str, bool] = (
             str(self._arena.path) if self._arena is not None else False
         )
@@ -539,7 +574,8 @@ class ShardedPolicyServer:
     def serve_columnar(self, batch: PolicyRequestBatch) -> PolicyResponseBatch:
         """Answer one columnar batch, fanned out across the shard fleet.
 
-        Rows are partitioned by :func:`shard_rows` with one stable argsort,
+        Rows are partitioned by :func:`shard_rows` (arena ids through the
+        shard table built at construction) with one stable argsort,
         each shard's contiguous slice is parked in that shard's request ring
         (header-only pipe message), all shards serve **concurrently**, and
         responses are mapped back out of the response rings and scattered to
@@ -587,7 +623,9 @@ class ShardedPolicyServer:
 
     def _partition(self, batch: PolicyRequestBatch, rows: int) -> _SortedBatch:
         """Sort the batch into contiguous per-shard slices (no copy at 1)."""
-        row_shards = shard_rows(batch, self.num_shards)
+        row_shards = shard_rows(
+            batch, self.num_shards, self._arena, self._shard_table
+        )
         present = np.unique(row_shards)
         sorted_batch = _SortedBatch(
             ids=batch.policy_ids,

@@ -277,6 +277,8 @@ class PolicyArena:
         self._sections: Dict[str, ArenaSection] = {}
         self._ids: List[str] = []
         self._rows: Dict[str, int] = {}
+        self._sorted_ids: NDArray[Any] = np.empty(0, dtype=str)
+        self._sorted_rows: NDArray[Any] = np.empty(0, dtype=np.int64)
         self._feature_names: Optional[List[str]] = None
         self._index: NDArray[Any] = np.empty((0, 6), dtype=np.int64)
         try:
@@ -329,6 +331,9 @@ class PolicyArena:
             raise self._fail("metadata is missing policy_ids or sections")
         self._ids = [str(policy_id) for policy_id in ids]
         self._rows = {policy_id: row for row, policy_id in enumerate(self._ids)}
+        ids_array = np.array(self._ids, dtype=str)
+        self._sorted_rows = np.argsort(ids_array, kind="stable").astype(np.int64)
+        self._sorted_ids = ids_array[self._sorted_rows]
         names = meta.get("feature_names")
         self._feature_names = [str(n) for n in names] if isinstance(names, list) else None
 
@@ -491,6 +496,65 @@ class PolicyArena:
         )
         self._handles[policy_id] = compiled
         return compiled
+
+    def rows_of(self, policy_ids: NDArray[Any]) -> NDArray[Any]:
+        """The arena row of every id (int64), ``-1`` where an id is not packed.
+
+        One ``searchsorted`` over the sorted copy of the ids made at open, so
+        a batch's ids resolve without a python lookup per id.
+        """
+        ids = np.asarray(policy_ids, dtype=str)
+        rows = np.full(ids.shape, -1, dtype=np.int64)
+        if ids.size == 0 or self._sorted_ids.size == 0:
+            return rows
+        position = np.minimum(
+            np.searchsorted(self._sorted_ids, ids), self._sorted_ids.size - 1
+        )
+        found = self._sorted_ids[position] == ids
+        rows[found] = self._sorted_rows[position[found]]
+        return rows
+
+    def predict(
+        self, rows: NDArray[Any], inputs: NDArray[Any]
+    ) -> Tuple[NDArray[Any], NDArray[Any]]:
+        """Serve input ``i`` with the policy at arena row ``rows[i]``.
+
+        Returns the action indices and the ``(n, 2)`` (heating, cooling)
+        setpoints.  All rows descend together in one vectorised walk over the
+        concatenated sections: a row starts at its policy's ``node_start``,
+        the policy-local child pointers are offset by it, and the setpoints
+        are ``action_pairs[action_start + leaf_action]``.  Inputs are compared
+        in float64, as :meth:`~repro.serving.compiled.CompiledTreePolicy.
+        predict_batch` does, and a width that differs from any selected
+        policy's ``n_features`` raises :class:`ValueError`.
+        """
+        if self._mm.closed:
+            raise ArenaIntegrityError(f"{self.path}: arena is closed")
+        from repro.serving.compiled import _descend
+
+        inputs = np.asarray(inputs, dtype=np.float64)
+        policies = self._index[rows]
+        widths = policies[:, IDX_N_FEATURES]
+        wrong = widths[widths != (inputs.shape[1] if inputs.ndim == 2 else -1)]
+        if wrong.size:
+            raise ValueError(
+                f"Expected policy inputs of shape (rows, {int(wrong[0])}), "
+                f"got {inputs.shape}"
+            )
+        node_start = policies[:, IDX_NODE_START]
+        nodes = _descend(
+            self._views["feature"],
+            self._views["threshold"],
+            self._views["left"],
+            self._views["right"],
+            inputs,
+            node_start,
+            int(policies[:, IDX_DEPTH].max(initial=0)),
+            base=node_start,
+        )
+        actions = self._views["leaf_action"][nodes]
+        setpoints = self._views["action_pairs"][policies[:, IDX_ACTION_START] + actions]
+        return actions, setpoints
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:

@@ -19,7 +19,12 @@ PASSING = {
         "float32_speedup": 2.1,
     },
     "serve": {"rows": 20000, "actions_identical": True, "cache_hit": True, "speedup": 14.0},
-    "serve-columnar": {"rows": 50000, "actions_identical": True, "speedup": 3.3},
+    "serve-columnar": {
+        "rows": 50000,
+        "actions_identical": True,
+        "speedup": 3.3,
+        "wide_mix": {"actions_identical": True, "speedup": 20.0},
+    },
     "serve-sharded": {"shards": 4, "cpu_count": 4, "actions_identical": True, "speedup": 2.5},
     "serve-faults": {
         "shards": 4,
@@ -128,6 +133,8 @@ def test_passing_result_passes_every_floor(target):
         ("fleet", {"lost_ticks": 1}, "lost_ticks == 0"),
         ("robustness", {"rows": PASSING["robustness"]["rows"][:-1]},
          "every agent x fault cell present"),
+        ("serve-columnar", {"wide_mix__actions_identical": False}, "wide_mix.actions_identical"),
+        ("serve-columnar", {"wide_mix__speedup": 4.9}, "wide_mix.speedup >= 5.0"),
     ],
 )
 def test_violated_floor_fails_and_is_named(target, changes, floor):

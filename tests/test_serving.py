@@ -1,12 +1,18 @@
 """Compiled serving: compiled-vs-recursive equivalence, server batching, CLI."""
 
+import itertools
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.tree_policy import TreePolicy
+from repro.data import PolicyRequestBatch
 from repro.dtree.cart import DecisionTreeClassifier
+from repro.dtree.node import TreeNode
 from repro.serving import (
     CompiledTreeForest,
     CompiledTreePolicy,
@@ -14,6 +20,7 @@ from repro.serving import (
     PolicyServer,
     UnknownPolicyError,
 )
+from repro.store import PolicyKey, PolicyStore, write_arena
 
 N_FEATURES = 6
 ACTION_PAIRS = [(15 + i, 22 + i) for i in range(8)]
@@ -106,6 +113,148 @@ def test_forest_rejects_mixed_dimensions():
     small = TreePolicy(small_tree, action_pairs=ACTION_PAIRS, feature_names=["a", "b"])
     with pytest.raises(ValueError, match="dimension"):
         CompiledTreeForest.from_policies([random_policy(0), small])
+
+
+# ------------------------------------------------- differential (hypothesis)
+#: Split thresholds and observation values share one grid, exact in float32,
+#: so observations land on thresholds (the ``<=`` boundary) all the time.
+GRID = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+
+
+def grown_policy(rng: np.random.Generator, depth: int, n_features: int = N_FEATURES) -> TreePolicy:
+    """A random tree of exactly ``depth`` levels at most, thresholds on :data:`GRID`.
+
+    Each policy gets its own setpoint table (1-8 pairs at a random offset),
+    so serving a row with another policy's table cannot go unnoticed.
+    """
+    offset = int(rng.integers(0, 5))
+    pairs = [(15 + offset + i, 22 + offset + i) for i in range(int(rng.integers(1, 9)))]
+    ids = itertools.count()
+
+    def grow(level: int) -> TreeNode:
+        if level == depth or (level > 0 and rng.random() < 0.25):
+            return TreeNode(node_id=next(ids), prediction=int(rng.integers(len(pairs))))
+        node = TreeNode(
+            node_id=next(ids),
+            feature_index=int(rng.integers(n_features)),
+            threshold=float(rng.choice(GRID)),
+            prediction=0,
+        )
+        node.left = grow(level + 1)
+        node.right = grow(level + 1)
+        return node
+
+    tree = DecisionTreeClassifier(max_depth=depth)
+    tree.n_features = n_features
+    tree.root = grow(0)
+    tree.classes_ = np.arange(len(pairs))
+    return TreePolicy(tree, action_pairs=pairs, feature_names=[f"f{i}" for i in range(n_features)])
+
+
+def grid_observations(rng: np.random.Generator, rows: int, dtype) -> np.ndarray:
+    """Observations on :data:`GRID`, with NaNs and off-grid values mixed in."""
+    values = rng.choice(GRID, size=(rows, N_FEATURES))
+    values[rng.random(size=values.shape) < 0.1] = np.nan
+    off_grid = rng.random(size=values.shape) < 0.2
+    values[off_grid] = rng.uniform(-1.5, 1.5, size=int(off_grid.sum()))
+    return values.astype(dtype)
+
+
+def per_policy_reference(server: PolicyServer, batch: PolicyRequestBatch) -> None:
+    """The stats a loop of one ``resolve`` + ``predict_batch`` per policy leaves."""
+    codes, unique_ids = batch.grouping()
+    tally = server.stats.per_policy_requests
+    for group, policy_id in enumerate(unique_ids):
+        rows = codes == group
+        server.resolve(str(policy_id)).predict_batch(batch.observations[rows])
+        tally[str(policy_id)] = tally.get(str(policy_id), 0) + int(rows.sum())
+    server.stats.requests += len(batch)
+    server.stats.batches += 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    depths=st.lists(st.integers(1, 8), min_size=1, max_size=6),
+    json_count=st.integers(0, 2),
+    shadowed=st.integers(0, 2),
+    fresh_registered=st.booleans(),
+    float32=st.booleans(),
+    rows=st.lists(st.integers(1, 80), min_size=1, max_size=3),
+    cache_size=st.integers(1, 3),
+)
+def test_mixed_batches_equal_recursive_trees_and_per_policy_stats(
+    seed, depths, json_count, shadowed, fresh_registered, float32, rows, cache_size
+):
+    rng = np.random.default_rng(seed)
+    dtype = np.float32 if float32 else np.float64
+    arena_policies = {f"arena/{i}": grown_policy(rng, depth) for i, depth in enumerate(depths)}
+    registered = {
+        policy_id: grown_policy(rng, int(rng.integers(1, 9)))
+        for policy_id in list(arena_policies)[:shadowed]
+    }
+    if fresh_registered:
+        registered["pinned/extra"] = grown_policy(rng, int(rng.integers(1, 9)))
+    with tempfile.TemporaryDirectory() as root:
+        store = PolicyStore(root)
+        write_arena(store.arena_path, [(pid, p.compiled()) for pid, p in arena_policies.items()])
+        json_policies = {}
+        for index in range(json_count):
+            key = PolicyKey("json", "summer", "office", index, f"{index:012x}")
+            policy = grown_policy(rng, int(rng.integers(1, 9)))
+            json_policies[store.put_policy(key, policy).key.name] = policy
+        effective = {**arena_policies, **json_policies, **registered}
+        servers = [PolicyServer(store=store, cache_size=cache_size) for _ in range(2)]
+        for server in servers:
+            for policy_id, policy in registered.items():
+                server.register(policy_id, policy)
+        served, reference = servers
+        ids = np.array(sorted(effective))
+
+        for count in rows:
+            batch = PolicyRequestBatch(
+                policy_ids=ids[rng.integers(len(ids), size=count)],
+                observations=grid_observations(rng, count, dtype),
+            )
+            response = served.serve_columnar(batch)
+            expected = [
+                effective[str(pid)].predict_action_index(row)
+                for pid, row in zip(batch.policy_ids, batch.observations)
+            ]
+            pairs = [effective[str(pid)].decode_action(a) for pid, a in zip(batch.policy_ids, expected)]
+            assert response.action_indices.tolist() == expected
+            assert response.setpoint_pairs().tolist() == [list(pair) for pair in pairs]
+            per_policy_reference(reference, PolicyRequestBatch(batch.policy_ids, batch.observations))
+
+        for field in ("requests", "batches", "arena_hits", "compile_count", "per_policy_requests"):
+            assert getattr(served.stats, field) == getattr(reference.stats, field), field
+        for server in servers:
+            server.close()
+
+    # The forest walks the same kernel: row i through tree i.
+    trees = list(arena_policies.values())
+    inputs = grid_observations(rng, len(trees), dtype)
+    forest = CompiledTreeForest.from_policies(trees)
+    assert forest.predict_rows(inputs).tolist() == [
+        tree.predict_action_index(row) for tree, row in zip(trees, inputs)
+    ]
+
+
+def test_arena_walk_rejects_a_width_any_policy_does_not_take(tmp_path):
+    rng = np.random.default_rng(3)
+    store = PolicyStore(tmp_path)
+    write_arena(
+        store.arena_path,
+        [("six", grown_policy(rng, 3).compiled()), ("four", grown_policy(rng, 3, 4).compiled())],
+    )
+    server = PolicyServer(store=store)
+    mixed = PolicyRequestBatch(np.array(["six", "four", "six"]), np.zeros((3, N_FEATURES)))
+    with pytest.raises(ValueError, match="shape"):
+        server.serve_columnar(mixed)
+    wide = PolicyRequestBatch(np.array(["six", "six", "four"])[:2], np.zeros((2, N_FEATURES + 1)))
+    with pytest.raises(ValueError, match="shape"):
+        server.serve_columnar(PolicyRequestBatch(np.array(["six", "four"]), wide.observations))
+    server.close()
 
 
 # ------------------------------------------------------------------ server

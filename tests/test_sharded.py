@@ -1,5 +1,6 @@
 """Sharded serving: shm transport round-trips, routing, exactness, lifecycle."""
 
+import dataclasses
 import os
 import pickle
 import signal
@@ -7,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.tree_policy import TreePolicy
 from repro.data import (
@@ -28,6 +31,8 @@ from repro.serving import (
     shard_for_policy,
     shard_rows,
 )
+from repro.serving.sharded import arena_shard_table
+from repro.store import PolicyArena, write_arena
 
 N_FEATURES = 6
 ACTION_PAIRS = [(15 + i, 22 + i) for i in range(8)]
@@ -147,6 +152,47 @@ def test_shm_wrong_type_and_oversize_are_loud(ring):
         huge.to_shm(ring)  # 9.6 MB payload into a 4 MB ring
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 600), min_size=1, max_size=12),
+    generation=st.integers(0, 5),
+)
+def test_shm_ring_round_trips_within_the_largest_batch(seed, sizes, generation):
+    rng = np.random.default_rng(seed)
+    makers = [
+        lambda rows: ObservationBatch(rng.uniform(size=(rows, N_FEATURES))),
+        lambda rows: ObservationBatch(
+            rng.uniform(size=(rows, 3)).astype(np.float32), feature_names=("a", "b", "c")
+        ),
+        lambda rows: PolicyRequestBatch(
+            policy_ids=np.array([f"building-{i}" for i in rng.integers(0, 999, rows)]),
+            observations=rng.uniform(size=(rows, N_FEATURES)),
+        ),
+        lambda rows: ActionBatch.from_indices(rng.integers(0, 8, rows)),
+    ]
+    with SharedMemoryColumnarBuffer.create(1 << 20, generation=generation) as ring:
+        largest = 0
+        for rows in sizes:
+            batch = makers[int(rng.integers(len(makers)))](rows)
+            header = batch.to_shm(ring)
+            extent = max(column.offset + column.nbytes for column in header.columns)
+            largest = max(largest, extent)
+            assert min(column.offset for column in header.columns) == 0
+            restored = type(batch).from_shm(ring, header)
+            for name, column in batch.columns().items():
+                assert np.array_equal(getattr(restored, name), column), name
+            del restored
+            for stale in (generation - 1, generation + 1):
+                with pytest.raises(ShmTransportError, match="generation"):
+                    ring.read_batch(dataclasses.replace(header, generation=stale))
+        # Every batch started at offset 0, so no byte past the largest
+        # batch's extent was ever written (those pages were never touched).
+        tail = np.frombuffer(ring._shm.buf, dtype=np.uint8, offset=largest)
+        assert not tail.any()
+        del tail
+
+
 def test_shm_ring_wraps_and_reuses_capacity(ring):
     batch = ObservationBatch(np.random.default_rng(0).uniform(size=(4096, N_FEATURES)))
     # ~200 KB per write through a 4 MB ring: must wrap many times over.
@@ -170,12 +216,25 @@ def test_shard_routing_is_deterministic_and_stable():
     assert set(first) == {0, 1, 2, 3}
 
 
-def test_shard_rows_matches_per_row_hash():
-    batch = mixed_batch(0, 40, [f"b{i}" for i in range(5)])
-    expected = np.array(
-        [shard_for_policy(str(pid), 3) for pid in batch.policy_ids]
+def test_shard_rows_matches_per_row_hash(tmp_path):
+    packed = [f"b{i}" for i in range(5)]
+    arena = PolicyArena(
+        write_arena(
+            tmp_path / "policies.arena",
+            [(pid, random_policy(i).compiled()) for i, pid in enumerate(packed)],
+        )
     )
-    assert np.array_equal(shard_rows(batch, 3), expected)
+    table = arena_shard_table(arena, 3)
+    outside = [f"json-{i}" for i in range(4)]
+    for ids in (packed, outside, packed[:3] + outside[:2]):
+        batch = mixed_batch(0, 40, ids)
+        expected = np.array(
+            [shard_for_policy(str(pid), 3) for pid in batch.policy_ids]
+        )
+        assert np.array_equal(shard_rows(batch, 3), expected)
+        assert np.array_equal(shard_rows(batch, 3, arena), expected)
+        assert np.array_equal(shard_rows(batch, 3, arena, table), expected)
+    arena.close()
 
 
 # ------------------------------------------------------------- exactness
